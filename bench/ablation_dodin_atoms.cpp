@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   cli.parse(argc, argv);
 
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
-  const auto model = core::calibrate(g, cli.get_double("pfail"));
+  const auto sc = scenario::Scenario::calibrated(g, cli.get_double("pfail"));
+  exp::Workspace ws;
 
   const std::vector<std::size_t> budgets = {8, 16, 32, 64, 128, 256, 512};
   std::vector<double> estimates;
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> duplications;
   for (const std::size_t k_atoms : budgets) {
     const util::Timer t;
-    const auto r = sp::dodin_two_state(g, model, {.max_atoms = k_atoms});
+    const auto r = sp::dodin_two_state(sc, {.max_atoms = k_atoms}, ws);
     seconds.push_back(t.seconds());
     estimates.push_back(r.expected_makespan());
     duplications.push_back(r.duplications);

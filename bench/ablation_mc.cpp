@@ -26,6 +26,11 @@ int main(int argc, char** argv) {
 
   const auto g = gen::cholesky_dag(static_cast<int>(cli.get_int("k")));
   const auto model = core::calibrate(g, cli.get_double("pfail"));
+  // The plain/CV engines reproduce the paper's geometric simulator; the
+  // conditional estimator is defined for the two-state model only.
+  const auto geometric =
+      scenario::Scenario::compile(g, model, core::RetryModel::Geometric);
+  const auto two_state = scenario::Scenario::compile(g, model);
 
   const std::vector<std::uint64_t> trial_counts = {1'000,  3'000,   10'000,
                                                    30'000, 100'000, 300'000};
@@ -36,16 +41,16 @@ int main(int argc, char** argv) {
     mc::McConfig plain;
     plain.trials = trials;
     plain.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto rp = mc::run_monte_carlo(g, model, plain);
+    const auto rp = mc::run_monte_carlo(geometric, plain);
 
     mc::McConfig cv = plain;
     cv.control_variate = true;
-    const auto rc = mc::run_monte_carlo(g, model, cv);
+    const auto rc = mc::run_monte_carlo(geometric, cv);
 
     mc::ConditionalMcConfig cond;
     cond.trials = trials;
     cond.seed = plain.seed;
-    const auto rq = mc::run_conditional_monte_carlo(g, model, cond);
+    const auto rq = mc::run_conditional_monte_carlo(two_state, cond);
 
     table.begin_row();
     table.add_int(static_cast<std::int64_t>(trials));

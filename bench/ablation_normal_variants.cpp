@@ -49,16 +49,22 @@ int main(int argc, char** argv) {
     mc::McConfig cfg;
     cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto mc = mc::run_monte_carlo(c.dag, model, cfg);
+    // MC reproduces the paper's geometric simulator; the Normal family
+    // runs on the two-state laws.
+    const auto mc = mc::run_monte_carlo(
+        scenario::Scenario::compile(c.dag, model, core::RetryModel::Geometric),
+        cfg);
+    const auto sc = scenario::Scenario::compile(c.dag, model);
+    exp::Workspace& ws = exp::Workspace::local();
 
     const util::Timer ts;
-    const double s = normal::sculli(c.dag, model).expected_makespan();
+    const double s = normal::sculli(sc, ws).expected_makespan();
     const double t_s = ts.seconds();
     const util::Timer tc;
-    const double co = normal::corlca(c.dag, model).expected_makespan();
+    const double co = normal::corlca(sc, ws).expected_makespan();
     const double t_c = tc.seconds();
     const util::Timer tf;
-    const double f = normal::clark_full(c.dag, model).expected_makespan();
+    const double f = normal::clark_full(sc, ws).expected_makespan();
     const double t_f = tf.seconds();
 
     table.begin_row();

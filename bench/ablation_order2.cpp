@@ -42,16 +42,18 @@ int main(int argc, char** argv) {
     mc::McConfig cfg;
     cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
     cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    cfg.retry = core::RetryModel::Geometric;
-    const auto mc = mc::run_monte_carlo(g, model, cfg);
+    // Geometric retries throughout: first order does not depend on the
+    // retry model, second order and MC do.
+    const auto sc =
+        scenario::Scenario::compile(g, model, core::RetryModel::Geometric);
+    exp::Workspace& ws = exp::Workspace::local();
+    const auto mc = mc::run_monte_carlo(sc, cfg);
 
     const util::Timer t_fo;
-    const double fo = core::first_order(g, model).expected_makespan();
+    const double fo = core::first_order(sc, ws).expected_makespan();
     const double fo_seconds = t_fo.seconds();
     const util::Timer t_so;
-    const double so =
-        core::second_order(g, model, core::RetryModel::Geometric)
-            .expected_makespan;
+    const double so = core::second_order(sc, ws).expected_makespan;
     const double so_seconds = t_so.seconds();
 
     const double fo_diff = (fo - mc.mean) / mc.mean;

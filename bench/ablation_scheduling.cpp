@@ -46,6 +46,9 @@ int main(int argc, char** argv) {
         sched::priorities(c.dag, sched::PriorityKind::BottomLevel, model);
     const auto aware = sched::priorities(
         c.dag, sched::PriorityKind::FailureAwareBottomLevel, model);
+    const auto sc =
+        scenario::Scenario::compile(c.dag, model, core::RetryModel::Geometric);
+    exp::Workspace& ws = exp::Workspace::local();
 
     for (const std::size_t p : {2u, 4u, 8u, 16u}) {
       const sched::Machine machine(p);
@@ -53,9 +56,9 @@ int main(int argc, char** argv) {
       cfg.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
       cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
       const auto r_classic =
-          sched::simulate_with_faults(c.dag, classic, machine, model, cfg);
+          sched::simulate_with_faults(sc, classic, machine, cfg, ws);
       const auto r_aware =
-          sched::simulate_with_faults(c.dag, aware, machine, model, cfg);
+          sched::simulate_with_faults(sc, aware, machine, cfg, ws);
 
       table.begin_row();
       table.add(c.name);

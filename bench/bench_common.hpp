@@ -20,11 +20,13 @@
 #include "core/failure_model.hpp"
 #include "core/first_order.hpp"
 #include "core/second_order.hpp"
+#include "exp/workspace.hpp"
 #include "graph/dag.hpp"
 #include "mc/engine.hpp"
 #include "normal/clark_full.hpp"
 #include "normal/corlca.hpp"
 #include "normal/sculli.hpp"
+#include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 #include "util/json_writer.hpp"
 #include "util/timer.hpp"
@@ -84,12 +86,20 @@ inline CellResult evaluate_cell(const graph::Dag& g, double pfail,
   const core::FailureModel model = core::calibrate(g, pfail);
   cell.lambda = model.lambda;
 
+  // One compiled scenario per retry model the cell needs; every method
+  // below reads it (compile time is not charged to any method).
+  const auto two_state = scenario::Scenario::compile(g, model);
+  const auto geometric =
+      scenario::Scenario::compile(g, model, core::RetryModel::Geometric);
+  exp::Workspace& ws = exp::Workspace::local();
+
   mc::McConfig mc_cfg;
   mc_cfg.trials = opt.mc_trials;
   mc_cfg.seed = opt.mc_seed;
-  mc_cfg.retry = opt.mc_retry;
   mc_cfg.control_variate = opt.mc_control_variate;
-  const auto mc = mc::run_monte_carlo(g, model, mc_cfg);
+  const auto mc = mc::run_monte_carlo(
+      opt.mc_retry == core::RetryModel::Geometric ? geometric : two_state,
+      mc_cfg);
   cell.mc_mean = mc.mean;
   cell.mc_ci95 = mc.ci95_half_width;
   cell.mc_seconds = mc.seconds;
@@ -97,38 +107,39 @@ inline CellResult evaluate_cell(const graph::Dag& g, double pfail,
   const auto diff = [&](double est) { return (est - mc.mean) / mc.mean; };
   {
     const util::Timer t;
-    const auto r = core::first_order(g, model);
+    const auto r = core::first_order(two_state, ws);
     cell.first_order.seconds = t.seconds();
     cell.first_order.estimate = r.expected_makespan();
     cell.critical_path = r.critical_path;
   }
   {
     const util::Timer t;
-    const auto r = sp::dodin_two_state(g, model, {.max_atoms = opt.dodin_atoms});
+    const auto r =
+        sp::dodin_two_state(two_state, {.max_atoms = opt.dodin_atoms}, ws);
     cell.dodin.seconds = t.seconds();
     cell.dodin.estimate = r.expected_makespan();
   }
   {
     const util::Timer t;
-    const auto r = normal::sculli(g, model);
+    const auto r = normal::sculli(two_state, ws);
     cell.sculli.seconds = t.seconds();
     cell.sculli.estimate = r.expected_makespan();
   }
   if (opt.run_second_order) {
     const util::Timer t;
-    const auto r = core::second_order(g, model, core::RetryModel::Geometric);
+    const auto r = core::second_order(geometric, ws);
     cell.second_order.seconds = t.seconds();
     cell.second_order.estimate = r.expected_makespan;
   }
   if (opt.run_corlca) {
     const util::Timer t;
-    const auto r = normal::corlca(g, model);
+    const auto r = normal::corlca(two_state, ws);
     cell.corlca.seconds = t.seconds();
     cell.corlca.estimate = r.expected_makespan();
   }
   if (opt.run_clark_full) {
     const util::Timer t;
-    const auto r = normal::clark_full(g, model);
+    const auto r = normal::clark_full(two_state, ws);
     cell.clark_full.seconds = t.seconds();
     cell.clark_full.estimate = r.expected_makespan();
   }

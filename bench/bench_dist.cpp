@@ -112,6 +112,22 @@ Row bench_kernel_op(const char* op, std::size_t nx, std::size_t ny,
   return row;
 }
 
+/// The object engine's input: the scenario's AoA network with one
+/// heap-backed 2-state DiscreteDistribution per task.
+sp::ArcNetwork object_network(const scenario::Scenario& sc) {
+  const graph::Dag& g = sc.dag();
+  std::vector<prob::DiscreteDistribution> dists;
+  dists.reserve(g.task_count());
+  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
+    const double a = g.weight(i);
+    // Zero-weight (virtual) tasks cannot fail, as in the evaluators.
+    dists.push_back(a <= 0.0 ? prob::DiscreteDistribution::point(0.0)
+                             : prob::DiscreteDistribution::two_state(
+                                   a, sc.p_success()[i]));
+  }
+  return sp::ArcNetwork::from_dag(g, std::move(dists));
+}
+
 Row bench_sp(const char* label, const graph::Dag& g, std::uint64_t reps) {
   const auto sc = scenario::Scenario::calibrated(g, 0.01);
   const std::size_t max_atoms = 64;
@@ -124,17 +140,7 @@ Row bench_sp(const char* label, const graph::Dag& g, std::uint64_t reps) {
   {
     const util::Timer t;
     for (std::uint64_t r = 0; r < reps; ++r) {
-      std::vector<prob::DiscreteDistribution> dists;
-      dists.reserve(g.task_count());
-      for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-        const double a = g.weight(i);
-        // Zero-weight (virtual) tasks cannot fail, as in the evaluators.
-        dists.push_back(a <= 0.0 ? prob::DiscreteDistribution::point(0.0)
-                                 : prob::DiscreteDistribution::two_state(
-                                       a, sc.p_success()[i]));
-      }
-      const auto eval = sp::evaluate_sp(
-          sp::ArcNetwork::from_dag(g, std::move(dists)), max_atoms);
+      const auto eval = sp::evaluate_sp(object_network(sc), max_atoms);
       checksum_guard += eval.makespan.mean();
     }
     row.legacy_us = t.seconds() * 1e6 / static_cast<double>(reps);
@@ -165,7 +171,7 @@ Row bench_dodin(const char* label, const graph::Dag& g, std::uint64_t reps) {
     const util::Timer t;
     for (std::uint64_t r = 0; r < reps; ++r) {
       checksum_guard +=
-          sp::dodin_two_state(g, sc.uniform_model(), opts).expected_makespan();
+          sp::dodin(object_network(sc), opts).expected_makespan();
     }
     row.legacy_us = t.seconds() * 1e6 / static_cast<double>(reps);
   }

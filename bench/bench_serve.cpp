@@ -45,6 +45,7 @@
 #include "scenario/scenario.hpp"
 #include "serve/engine.hpp"
 #include "util/json_writer.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -218,8 +219,10 @@ int main(int argc, char** argv) {
       reqs[i].method = kMix[i % kMixSize];
       reqs[i].options.mc_trials = 2000;
     }
+    util::ThreadPool pool(
+        std::max<std::size_t>(1, std::thread::hardware_concurrency()));
     util::Timer wall;
-    const auto results = exp::evaluate_many(sc, reqs);
+    const auto results = exp::evaluate_many(sc, reqs, pool);
     ArmResult r;
     r.arm = "raw_evaluate_many";
     r.seconds = wall.seconds();

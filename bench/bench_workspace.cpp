@@ -4,9 +4,9 @@
 // engine: the cost of one analytic evaluation of a compiled scenario
 // through three paths, over {fo, so, corlca, clark} x DAG sizes:
 //
-//   (a) legacy   — evaluate(dag, model, retry, opt): compiles a fresh
-//                  Scenario inside EVERY call (the pre-PR-3 cost
-//                  structure, kept for scale);
+//   (a) legacy   — Scenario::compile then evaluate(sc, opt) for EVERY
+//                  call (the cost structure before compile-once
+//                  scenarios, kept for scale);
 //   (b) per_call — evaluate(sc, opt, fresh Workspace): the compiled
 //                  scenario is shared but every call pays cold arenas,
 //                  i.e. the PR-3 cost structure where each kernel heap-
@@ -95,7 +95,9 @@ int main(int argc, char** argv) {
       {
         const util::Timer timer;
         for (std::uint64_t i = 0; i < legacy_reps; ++i) {
-          checksum_guard += e->evaluate(g, model, retry, opt).mean;
+          checksum_guard +=
+              e->evaluate(scenario::Scenario::compile(g, model, retry), opt)
+                  .mean;
         }
         row.legacy_us =
             timer.seconds() * 1e6 / static_cast<double>(legacy_reps);

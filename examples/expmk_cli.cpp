@@ -497,7 +497,8 @@ int cmd_schedule(int argc, const char* const* argv) {
   for (const auto kind : {sched::PriorityKind::BottomLevel,
                           sched::PriorityKind::FailureAwareBottomLevel}) {
     const auto prio = sched::priorities(g, kind, prio_model);
-    const auto r = sched::simulate_with_faults(sc, prio, machine, cfg);
+    const auto r = sched::simulate_with_faults(sc, prio, machine, cfg,
+                                               exp::Workspace::local());
     std::printf("%-24s failure-free %.5f, under faults mean %.5f (max "
                 "%.5f)\n",
                 kind == sched::PriorityKind::BottomLevel
@@ -540,7 +541,8 @@ int cmd_critical(int argc, const char* const* argv) {
   const graph::Dag& g = sc.dag();
   core::CriticalityConfig cfg;
   cfg.trials = static_cast<std::uint64_t>(cli.get_int("trials"));
-  const auto prob = core::criticality_probabilities(sc, cfg);
+  const auto prob =
+      core::criticality_probabilities(sc, cfg, exp::Workspace::local());
   const auto slack = core::slacks(g);
 
   std::vector<graph::TaskId> order(g.task_count());

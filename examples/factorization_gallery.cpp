@@ -16,6 +16,7 @@
 
 #include "core/failure_model.hpp"
 #include "core/first_order.hpp"
+#include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/kernels.hpp"
 #include "gen/lu.hpp"
@@ -23,6 +24,7 @@
 #include "graph/dot.hpp"
 #include "graph/longest_path.hpp"
 #include "mc/engine.hpp"
+#include "scenario/scenario.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -55,7 +57,8 @@ void describe(const expmk::graph::Dag& g, const std::string& name,
 
   for (const double pfail : {0.01, 0.001, 0.0001}) {
     const auto model = core::calibrate(g, pfail);
-    const auto fo = core::first_order(g, model);
+    const auto fo = core::first_order(scenario::Scenario::compile(g, model),
+                                      exp::Workspace::local());
     std::printf(
         "  pfail=%-7g lambda=%.6f  E[makespan] ~ %.6f s (first order, "
         "+%.4f%% over failure-free)\n",

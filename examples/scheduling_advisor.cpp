@@ -52,10 +52,13 @@ int main(int argc, char** argv) {
 
   sched::FaultSimConfig cfg;
   cfg.runs = static_cast<std::uint64_t>(cli.get_int("runs"));
+  // Faults follow the paper's geometric retry model.
+  const auto sc =
+      scenario::Scenario::compile(g, model, core::RetryModel::Geometric);
+  exp::Workspace ws;
   const auto r_classic =
-      sched::simulate_with_faults(g, classic, machine, model, cfg);
-  const auto r_aware =
-      sched::simulate_with_faults(g, aware, machine, model, cfg);
+      sched::simulate_with_faults(sc, classic, machine, cfg, ws);
+  const auto r_aware = sched::simulate_with_faults(sc, aware, machine, cfg, ws);
 
   std::printf("%-26s %-12s %-12s %-12s %-12s\n", "priority scheme",
               "failure-free", "mean", "p95-ish(max)", "ci95");

@@ -11,8 +11,10 @@
 
 #include "core/exact.hpp"
 #include "core/failure_model.hpp"
+#include "exp/workspace.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
+#include "scenario/scenario.hpp"
 #include "spgraph/dodin.hpp"
 #include "spgraph/sp_reduce.hpp"
 
@@ -39,15 +41,17 @@ void inspect(const char* name, const graph::Dag& g,
               name, g.task_count(),
               eval.is_series_parallel ? "series-parallel" : "NOT SP",
               eval.stats.series, eval.stats.parallel);
-  const auto dodin = sp::dodin_two_state(g, m, {.max_atoms = 128});
+  const auto sc = scenario::Scenario::compile(g, m);
+  exp::Workspace& ws = exp::Workspace::local();
+  const auto dodin = sp::dodin_two_state(sc, {.max_atoms = 128}, ws);
   std::printf("%-28s dodin: E=%.6f, %zu duplications, final support %zu "
               "atoms\n",
               "", dodin.expected_makespan(), dodin.duplications,
               dodin.makespan.size());
   if (g.task_count() <= 16) {
-    std::printf("%-28s exact: E=%.6f  (dodin bias %+.3e)\n", "",
-                core::exact_two_state(g, m),
-                dodin.expected_makespan() - core::exact_two_state(g, m));
+    const double exact = core::exact_two_state(sc, ws);
+    std::printf("%-28s exact: E=%.6f  (dodin bias %+.3e)\n", "", exact,
+                dodin.expected_makespan() - exact);
   }
   std::printf("\n");
 }

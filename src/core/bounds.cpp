@@ -3,62 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
-#include <vector>
 
 #include "exp/level_parallel.hpp"
 #include "graph/longest_path.hpp"
-#include "graph/metrics.hpp"
-#include "graph/topological.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "prob/dist_kernels.hpp"
 
 namespace expmk::core {
 
 namespace {
-
-/// Shared body over per-task success probabilities. With the uniform
-/// p_i = e^{-lambda a_i} this performs the exact arithmetic of the
-/// pre-Scenario implementation (a_i (2 - p_i) is FailureModel's 2-state
-/// expected duration), so the two entry points agree bitwise.
-/// `expected_two_state` is an optional cache of exactly those values
-/// (Scenario::expected_durations() of a TwoState scenario); empty means
-/// compute them here.
-MakespanBounds bounds_impl(const graph::Dag& g,
-                           std::span<const graph::TaskId> topo,
-                           std::span<const double> p,
-                           std::span<const double> expected_two_state) {
-  MakespanBounds out;
-  out.failure_free = graph::critical_path_length(g, g.weights(), topo);
-
-  // Jensen: longest path on expected durations (always the 2-state law —
-  // the bounds are statements about the 2-state model).
-  std::vector<double> expected_storage;
-  if (expected_two_state.empty()) {
-    expected_storage.resize(g.task_count());
-    for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-      expected_storage[i] = g.weight(i) * (2.0 - p[i]);
-    }
-    expected_two_state = expected_storage;
-  }
-  out.jensen_lower =
-      graph::critical_path_length(g, expected_two_state, topo);
-
-  // Level decomposition: E[ sum_l max_{i in L_l} X_i ].
-  const auto levels = graph::level_partition(g);
-  double upper = 0.0;
-  for (const auto& level : levels) {
-    prob::DiscreteDistribution level_max = prob::DiscreteDistribution::point(0.0);
-    for (const graph::TaskId i : level) {
-      const double a = g.weight(i);
-      if (a <= 0.0) continue;
-      level_max = prob::DiscreteDistribution::max_of(
-          level_max, prob::DiscreteDistribution::two_state(a, p[i]));
-    }
-    upper += level_max.mean();
-  }
-  out.level_upper = upper;
-  return out;
-}
 
 /// Jensen lower bound over the compiled scenario, into leased scratch —
 /// shared verbatim by the serial and level-parallel workspace kernels.
@@ -130,10 +83,10 @@ EXPMK_NOALLOC LevelPartition build_level_partition(
 }
 
 /// E[ max_{i in tasks} X_i ] of one level via the shared flat kernels
-/// (prob/dist_kernels.hpp) — the same max_of arithmetic the
-/// DiscreteDistribution object fold of the Dag entry point runs, on
-/// leased Atom arenas instead of freshly allocated vectors, so the two
-/// paths agree bitwise (pinned by tests/test_workspace.cpp). The result
+/// (prob/dist_kernels.hpp) — the same max_of arithmetic a
+/// DiscreteDistribution object fold runs, on leased Atom arenas instead
+/// of freshly allocated vectors, so the two agree bitwise (pinned by
+/// tests/test_workspace.cpp). The result
 /// does not depend on the arenas' capacity, only that it suffices
 /// (2 * tasks.size() + 2), so per-level and whole-graph arenas give the
 /// same bits — which is what lets the parallel kernel lease per level.
@@ -158,13 +111,6 @@ EXPMK_NOALLOC double level_fold_mean(const graph::Dag& g,
 }
 
 }  // namespace
-
-MakespanBounds makespan_bounds(const graph::Dag& g,
-                               const FailureModel& model) {
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  return bounds_impl(g, topo, p, {});
-}
 
 EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                exp::Workspace& ws) {
@@ -198,11 +144,6 @@ EXPMK_NOALLOC MakespanBounds makespan_bounds(const scenario::Scenario& sc,
   }
   out.level_upper = upper;
   return out;
-}
-
-MakespanBounds makespan_bounds(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return makespan_bounds(sc, ws);
 }
 
 MakespanBounds makespan_bounds(const scenario::Scenario& sc,

@@ -21,7 +21,6 @@
 
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
-#include "graph/dag.hpp"
 #include "scenario/scenario.hpp"
 #include "util/contracts.hpp"
 
@@ -36,24 +35,16 @@ struct MakespanBounds {
 
 /// Computes all bounds under the 2-state model. O(V + E) plus the
 /// per-level max distributions (atom count bounded by level width + 1).
-[[nodiscard]] MakespanBounds makespan_bounds(const graph::Dag& g,
-                                             const FailureModel& model);
-
-/// Workspace kernel — the implementation the Scenario entry point
-/// forwards to. Everything the per-call path allocated moves into leased
-/// arenas: the Jensen longest-path scratch, the level partition (flat
-/// counting sort instead of vector-of-vectors), and the per-level max
-/// distributions (flat atom arrays mirroring DiscreteDistribution::max_of
-/// operation-for-operation, so the values match the distribution-object
-/// fold bitwise). ZERO heap allocations on a warm workspace.
+/// Both bounds are built from per-task success probabilities, so
+/// heterogeneous rates are supported: Jensen uses E[X_i] = a_i (2 - p_i),
+/// the level bound each task's own 2-state law. All scratch is leased
+/// from `ws`: the Jensen longest-path scratch, the level partition (flat
+/// counting sort), and the per-level max distributions (flat atom arrays
+/// mirroring DiscreteDistribution::max_of operation-for-operation, so the
+/// values match a distribution-object fold bitwise). ZERO heap
+/// allocations on a warm workspace.
 EXPMK_NOALLOC [[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scenario& sc,
                                              exp::Workspace& ws);
-
-/// Scenario-based entry point. Both bounds are built from per-task
-/// success probabilities, so heterogeneous rates are supported: Jensen
-/// uses E[X_i] = a_i (2 - p_i), the level bound each task's own 2-state
-/// law. Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] MakespanBounds makespan_bounds(const scenario::Scenario& sc);
 
 /// Level-parallel variant: the per-level expected-maximum folds — the
 /// dominant cost — fan out across `workers` threads (levels are mutually

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "core/first_order.hpp"
-#include "graph/topological.hpp"
+#include "scenario/scenario.hpp"
 
 namespace expmk::core {
 
@@ -38,16 +38,16 @@ std::vector<DvfsPoint> dvfs_sweep(const graph::Dag& g, const DvfsModel& model,
   std::vector<DvfsPoint> out;
   out.reserve(speeds.size());
 
-  // Scaled copy reused across speeds.
+  // Scaled copy reused across speeds; one scenario compiled per speed.
   graph::Dag scaled = g;
-  const auto topo = graph::topological_order(g);
 
   for (const double s : speeds) {
     const double lam = model.lambda(s);
     for (graph::TaskId i = 0; i < g.task_count(); ++i) {
       scaled.set_weight(i, g.weight(i) / s);
     }
-    const auto fo = first_order(scaled, FailureModel{lam}, topo);
+    const auto sc = scenario::Scenario::compile(scaled, FailureModel{lam});
+    const auto fo = first_order(sc, exp::Workspace::local());
 
     DvfsPoint p;
     p.speed = s;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/longest_path.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::core {
 
@@ -25,11 +24,8 @@ EXPMK_NOALLOC void check_size(const graph::Dag& g, std::size_t limit) {
 }
 
 // The enumeration bodies are parameterized on the per-task success
-// probabilities (and an arbitrary valid topological order), so the uniform
-// and heterogeneous entry points share one implementation. The critical-
-// path values are order-invariant across topological orders (each
-// finish[v] is uniquely determined by the graph), so Dag-order and
-// CSR-order callers produce bit-identical expectations.
+// probabilities, so uniform and heterogeneous scenarios share one
+// implementation.
 
 EXPMK_NOALLOC double two_state_expectation(const graph::Dag& g,
                              std::span<const graph::TaskId> topo,
@@ -50,14 +46,6 @@ EXPMK_NOALLOC double two_state_expectation(const graph::Dag& g,
         prob * graph::critical_path_length(g, weights, topo, finish);
   }
   return expectation;
-}
-
-double two_state_expectation(const graph::Dag& g,
-                             std::span<const graph::TaskId> topo,
-                             std::span<const double> p) {
-  std::vector<double> weights(g.task_count());
-  std::vector<double> finish(g.task_count());
-  return two_state_expectation(g, topo, p, weights, finish);
 }
 
 prob::DiscreteDistribution two_state_distribution(
@@ -144,13 +132,6 @@ EXPMK_NOALLOC double geometric_expectation(const graph::Dag& g,
 
 }  // namespace
 
-double exact_two_state(const graph::Dag& g, const FailureModel& model) {
-  check_size(g, kMaxExactTasks);
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  return two_state_expectation(g, topo, p);
-}
-
 EXPMK_NOALLOC double exact_two_state(const scenario::Scenario& sc, exp::Workspace& ws) {
   check_size(sc.dag(), kMaxExactTasks);
   const exp::Workspace::Frame frame(ws);
@@ -159,31 +140,10 @@ EXPMK_NOALLOC double exact_two_state(const scenario::Scenario& sc, exp::Workspac
                                ws.doubles(n), ws.doubles(n));
 }
 
-double exact_two_state(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return exact_two_state(sc, ws);
-}
-
-prob::DiscreteDistribution exact_two_state_distribution(
-    const graph::Dag& g, const FailureModel& model) {
-  check_size(g, kMaxExactTasks);
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  return two_state_distribution(g, topo, p);
-}
-
 prob::DiscreteDistribution exact_two_state_distribution(
     const scenario::Scenario& sc) {
   check_size(sc.dag(), kMaxExactTasks);
   return two_state_distribution(sc.dag(), sc.topo(), sc.p_success());
-}
-
-double exact_geometric(const graph::Dag& g, const FailureModel& model,
-                       int max_executions) {
-  const auto topo = graph::topological_order(g);
-  const auto p = success_probabilities(g, model);
-  exp::Workspace ws;
-  return geometric_expectation(g, topo, p, max_executions, ws);
 }
 
 EXPMK_NOALLOC double exact_geometric(const scenario::Scenario& sc, int max_executions,
@@ -193,11 +153,6 @@ EXPMK_NOALLOC double exact_geometric(const scenario::Scenario& sc, int max_execu
   // heterogeneous per-task rates are exact too.
   return geometric_expectation(sc.dag(), sc.topo(), sc.p_success(),
                                max_executions, ws);
-}
-
-double exact_geometric(const scenario::Scenario& sc, int max_executions) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return exact_geometric(sc, max_executions, ws);
 }
 
 }  // namespace expmk::core

@@ -210,23 +210,26 @@ EXPMK_NOALLOC SecondOrderResult so_assemble(
   return out;
 }
 
-/// The single serial copy of the second-order expansion, over caller
-/// scratch. `rates_csr` empty selects the uniform path, which keeps the
-/// exact pre-Scenario factoring (sum a_i, scale by lambda where the
-/// original scaled) so uniform results stay bit-identical to the
-/// historical second_order(CsrDag, FailureModel, RetryModel); non-empty
-/// rates run the generalized expansion with l_i = lambda_i a_i written
-/// into `l` (same size as the graph, unused when uniform). All spans have
-/// task_count() entries — except `dist`, the blocked sweep's lane matrix,
-/// which needs task_count() * kSecondOrderBlock — and are fully
-/// overwritten.
-EXPMK_NOALLOC SecondOrderResult second_order_impl(
-    const graph::CsrDag& csr, RetryModel model_kind, double lambda,
-    std::span<const double> rates_csr, std::span<double> top,
-    std::span<double> bottom, std::span<double> d_single,
-    std::span<double> dist, std::span<double> l) {
+}  // namespace
+
+EXPMK_NOALLOC SecondOrderResult second_order(const scenario::Scenario& sc,
+                               exp::Workspace& ws) {
+  const exp::Workspace::Frame frame(ws);
+  const graph::CsrDag& csr = sc.csr();
   const std::size_t n = csr.task_count();
-  const bool het = !rates_csr.empty();
+  // Uniform scenarios factor lambda out (sum a_i, scale by lambda at the
+  // end — the arithmetic the golden sweep artifact pins); heterogeneous
+  // ones run the generalized expansion with l_i = lambda_i a_i.
+  const bool het = sc.heterogeneous();
+  const double lambda = het ? 0.0 : sc.uniform_model().lambda;
+  const std::span<const double> rates_csr =
+      het ? sc.rates_csr() : std::span<const double>{};
+  const std::span<double> top = ws.doubles(n);
+  const std::span<double> bottom = ws.doubles(n);
+  const std::span<double> d_single = ws.doubles(n);
+  // The blocked sweep's lane matrix: one row of kSecondOrderBlock per task.
+  const std::span<double> dist = ws.doubles(n * kSecondOrderBlock);
+  const std::span<double> l = het ? ws.doubles(n) : std::span<double>{};
 
   // Levels over the renumbered positions (one forward, one backward pass).
   const double d = graph::compute_levels(csr, csr.weights(), top, bottom);
@@ -245,38 +248,8 @@ EXPMK_NOALLOC SecondOrderResult second_order_impl(
     for (std::uint32_t ln = 0; ln < nb; ++ln) pair_sum += acc[ln];
   }
 
-  return so_assemble(csr, model_kind, lambda, het, l, top, bottom, d_single,
+  return so_assemble(csr, sc.retry(), lambda, het, l, top, bottom, d_single,
                      d, pre, pair_sum);
-}
-
-}  // namespace
-
-SecondOrderResult second_order(const graph::CsrDag& csr,
-                               const FailureModel& model,
-                               RetryModel model_kind) {
-  const std::size_t n = csr.task_count();
-  std::vector<double> top(n), bottom(n), d_single(n);
-  std::vector<double> dist(n * kSecondOrderBlock);
-  return second_order_impl(csr, model_kind, model.lambda, {}, top, bottom,
-                           d_single, dist, {});
-}
-
-EXPMK_NOALLOC SecondOrderResult second_order(const scenario::Scenario& sc,
-                               exp::Workspace& ws) {
-  const exp::Workspace::Frame frame(ws);
-  const graph::CsrDag& csr = sc.csr();
-  const std::size_t n = csr.task_count();
-  const bool het = sc.heterogeneous();
-  return second_order_impl(
-      csr, sc.retry(), het ? 0.0 : sc.uniform_model().lambda,
-      het ? sc.rates_csr() : std::span<const double>{}, ws.doubles(n),
-      ws.doubles(n), ws.doubles(n), ws.doubles(n * kSecondOrderBlock),
-      het ? ws.doubles(n) : std::span<double>{});
-}
-
-SecondOrderResult second_order(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return second_order(sc, ws);
 }
 
 SecondOrderResult second_order(const scenario::Scenario& sc,
@@ -337,23 +310,6 @@ SecondOrderResult second_order(const scenario::Scenario& sc,
 
   return so_assemble(csr, sc.retry(), lambda, het, l, top, bottom, d_single,
                      d, pre, pair_sum);
-}
-
-SecondOrderResult second_order(const graph::Dag& g, const FailureModel& model,
-                               RetryModel model_kind,
-                               std::span<const graph::TaskId> topo) {
-  // The CSR build derives its own order; still validate the argument so a
-  // caller passing an order from a different graph keeps its error signal.
-  if (topo.size() != g.task_count()) {
-    throw std::invalid_argument(
-        "second_order: topo size mismatch with task count");
-  }
-  return second_order(graph::CsrDag(g), model, model_kind);
-}
-
-SecondOrderResult second_order(const graph::Dag& g, const FailureModel& model,
-                               RetryModel model_kind) {
-  return second_order(graph::CsrDag(g), model, model_kind);
 }
 
 }  // namespace expmk::core

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "graph/levels.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::core {
 
@@ -31,38 +30,9 @@ std::vector<double> VerificationCosts::resolve(const graph::Dag& g) const {
   return out;
 }
 
-FirstOrderResult first_order_verified(const graph::Dag& g,
-                                      const FailureModel& model,
-                                      const VerificationCosts& costs) {
-  const auto v = costs.resolve(g);
-  std::vector<double> w(g.task_count());
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    w[i] = g.weight(i) + v[i];
-  }
-  const auto topo = graph::topological_order(g);
-  const auto levels = graph::compute_levels(g, w, topo);
-
-  FirstOrderResult out;
-  out.critical_path = levels.critical_path;
-  double correction = 0.0;
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    // Failure probability stems from the compute part a_i only; a failure
-    // repeats the full w_i = a_i + v_i.
-    const double through_doubled = levels.top[i] + levels.bottom[i] + w[i];
-    const double delta =
-        std::max(0.0, through_doubled - levels.critical_path);
-    correction += g.weight(i) * delta;
-  }
-  out.correction = model.lambda * correction;
-  return out;
-}
-
 FirstOrderResult first_order_verified(const scenario::Scenario& sc,
                                       const VerificationCosts& costs) {
   const graph::Dag& g = sc.dag();
-  if (!sc.heterogeneous()) {
-    return first_order_verified(g, sc.uniform_model(), costs);
-  }
   const auto v = costs.resolve(g);
   std::vector<double> w(g.task_count());
   for (graph::TaskId i = 0; i < g.task_count(); ++i) {
@@ -72,17 +42,21 @@ FirstOrderResult first_order_verified(const scenario::Scenario& sc,
 
   FirstOrderResult out;
   out.critical_path = levels.critical_path;
-  double correction = 0.0;
+  const bool het = sc.heterogeneous();
   const std::span<const double> rates = sc.rates();
+  double correction = 0.0;
   for (graph::TaskId i = 0; i < g.task_count(); ++i) {
+    // Failure probability stems from the compute part a_i only; a failure
+    // repeats the full w_i = a_i + v_i.
     const double through_doubled = levels.top[i] + levels.bottom[i] + w[i];
     const double delta =
         std::max(0.0, through_doubled - levels.critical_path);
-    // Failure mass lambda_i a_i: only the compute part a_i accumulates
-    // error risk, at task i's own rate.
-    correction += rates[i] * g.weight(i) * delta;
+    // Failure mass lambda_i a_i: uniform scenarios sum a_i * delta and
+    // scale by lambda once, heterogeneous ones fold each task's own rate.
+    correction += het ? rates[i] * g.weight(i) * delta : g.weight(i) * delta;
   }
-  out.correction = correction;
+  out.correction =
+      het ? correction : sc.uniform_model().lambda * correction;
   return out;
 }
 

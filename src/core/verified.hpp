@@ -22,7 +22,6 @@
 #include <span>
 #include <vector>
 
-#include "core/failure_model.hpp"
 #include "core/first_order.hpp"
 #include "graph/dag.hpp"
 #include "scenario/scenario.hpp"
@@ -42,16 +41,11 @@ struct VerificationCosts {
 };
 
 /// First-order expected makespan with verification costs. With all-zero
-/// costs this equals first_order() exactly (tested).
-[[nodiscard]] FirstOrderResult first_order_verified(
-    const graph::Dag& g, const FailureModel& model,
-    const VerificationCosts& costs);
-
-/// Scenario-based entry point. Heterogeneous rates generalize the
-/// correction term-by-term (failure mass lambda_i a_i per task, like
-/// first_order(Scenario)). Note the verified weights w_i = a_i + v_i
-/// differ from the scenario's cached weights, so the level pass runs on
-/// its own weight vector either way.
+/// costs this equals first_order() exactly (tested). Heterogeneous rates
+/// generalize the correction term-by-term (failure mass lambda_i a_i per
+/// task, like first_order). The verified weights w_i = a_i + v_i differ
+/// from the scenario's cached weights, so the level pass runs on its own
+/// weight vector.
 [[nodiscard]] FirstOrderResult first_order_verified(
     const scenario::Scenario& sc, const VerificationCosts& costs);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "exp/seeds.hpp"
 #include "exp/workspace.hpp"
@@ -11,16 +10,10 @@
 
 namespace expmk::exp {
 
-namespace {
-
-/// The shared fan-out: resolves methods upfront, then runs contiguous
-/// index ranges on `pool`. Factored out so the owning-pool overload and
-/// the caller-pool overload are the same code path (and therefore
-/// bitwise-identical).
-std::vector<EvalResult> run_batch(const scenario::Scenario& sc,
-                                  std::span<const EvalRequest> requests,
-                                  util::ThreadPool& pool,
-                                  const EvaluatorRegistry& registry) {
+std::vector<EvalResult> evaluate_many(const scenario::Scenario& sc,
+                                      std::span<const EvalRequest> requests,
+                                      util::ThreadPool& pool,
+                                      const EvaluatorRegistry& registry) {
   // Resolve every method upfront: a batch fails loudly on a typo before
   // any cell burns compute (same policy as SweepRunner::run). Planned
   // requests (budget set) resolve to the planner instead of a method.
@@ -110,28 +103,6 @@ std::vector<EvalResult> run_batch(const scenario::Scenario& sc,
     }
   });
   return results;
-}
-
-}  // namespace
-
-std::vector<EvalResult> evaluate_many(const scenario::Scenario& sc,
-                                      std::span<const EvalRequest> requests,
-                                      std::size_t threads,
-                                      const EvaluatorRegistry& registry) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  // No point spinning up workers that would never see a request.
-  threads = std::min(threads, std::max<std::size_t>(1, requests.size()));
-  util::ThreadPool pool(threads);
-  return run_batch(sc, requests, pool, registry);
-}
-
-std::vector<EvalResult> evaluate_many(const scenario::Scenario& sc,
-                                      std::span<const EvalRequest> requests,
-                                      util::ThreadPool& pool,
-                                      const EvaluatorRegistry& registry) {
-  return run_batch(sc, requests, pool, registry);
 }
 
 }  // namespace expmk::exp

@@ -2,7 +2,8 @@
 //
 // The batch front door for high-throughput serving: evaluate ONE compiled
 // scenario against a whole batch of estimate requests at once, fanned
-// across a thread pool with one pooled Workspace per worker thread.
+// across a caller-owned thread pool with one pooled Workspace per worker
+// thread.
 //
 // This is the first API in the library where "heavy traffic" is a
 // first-class input shape rather than a sweep grid: a serving deployment
@@ -19,7 +20,7 @@
 // pure function of the request, never of thread scheduling — and results
 // are written into a pre-sized, index-addressed vector. The returned
 // vector is therefore IDENTICAL (bitwise, including MC means) for any
-// `threads` value; tests/test_evaluate_many.cpp pins threads {1, 2, 7}.
+// pool size; tests/test_evaluate_many.cpp pins pool sizes {1, 2, 7}.
 
 #pragma once
 
@@ -63,21 +64,13 @@ struct EvalRequest {
   bool seed_final = false;
 };
 
-/// Evaluates every request against `sc` on `threads` workers (0 =
-/// hardware concurrency). Results are index-aligned with `requests` and
-/// bitwise independent of the thread count. Throws std::invalid_argument
-/// on an unknown method name (resolved upfront — a batch fails loudly
-/// before any cell runs, like a sweep).
-[[nodiscard]] std::vector<EvalResult> evaluate_many(
-    const scenario::Scenario& sc, std::span<const EvalRequest> requests,
-    std::size_t threads = 0,
-    const EvaluatorRegistry& registry = EvaluatorRegistry::builtin());
-
-/// Same contract, but fans the batch over a CALLER-OWNED pool instead of
-/// constructing one per call. A long-lived server flushing small batches
-/// at high rate (src/serve/batcher.hpp) cannot afford thread create +
-/// join per flush; results are still index-aligned and bitwise
-/// independent of the pool size.
+/// Evaluates every request against `sc` on the CALLER-OWNED `pool`: a
+/// long-lived server flushing small batches at high rate
+/// (src/serve/batcher.hpp) cannot afford thread create + join per flush.
+/// Results are index-aligned with `requests` and bitwise independent of
+/// the pool size. Throws std::invalid_argument on an unknown method name
+/// (resolved upfront — a batch fails loudly before any cell runs, like a
+/// sweep).
 [[nodiscard]] std::vector<EvalResult> evaluate_many(
     const scenario::Scenario& sc, std::span<const EvalRequest> requests,
     util::ThreadPool& pool,

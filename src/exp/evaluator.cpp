@@ -75,26 +75,6 @@ EvalResult Evaluator::evaluate(const scenario::Scenario& sc,
   return evaluate(sc, options, Workspace::local());
 }
 
-EvalResult Evaluator::evaluate(const graph::Dag& g,
-                               const core::FailureModel& model,
-                               core::RetryModel retry,
-                               const EvalOptions& options) const {
-  // Compile outside evaluate()'s own try/catch so its wall-clock stays
-  // the time spent inside the method, as before — but still convert
-  // compile failures (cycle, bad lambda) into supported == false: a
-  // sweep cell must never crash the grid.
-  try {
-    const scenario::Scenario sc =
-        scenario::Scenario::compile(g, scenario::FailureSpec(model), retry);
-    return evaluate(sc, options);
-  } catch (const std::exception& e) {
-    EvalResult result;
-    result.supported = false;
-    result.note = e.what();
-    return result;
-  }
-}
-
 void EvaluatorRegistry::add(Evaluator evaluator) {
   if (find(evaluator.name()) != nullptr) {
     throw std::invalid_argument("EvaluatorRegistry: duplicate name '" +

@@ -23,9 +23,8 @@
 // includes sp and dodin, whose networks and atom arithmetic run entirely
 // on leased arenas (MC trial buffers were already pooled). The
 // workspace-less evaluate(scenario, options) overload leases from the
-// calling thread's pooled Workspace::local(); the legacy
-// (Dag, FailureModel, RetryModel) overload remains as a thin
-// compile-and-forward adapter. Both return bit-identical results.
+// calling thread's pooled Workspace::local() and returns bit-identical
+// results.
 //
 // A Capabilities record states what the method can do (which retry
 // models, how large a graph, uniform-only vs per-task rates, whether it
@@ -175,16 +174,6 @@ class Evaluator {
   /// thread's pooled Workspace::local(), so repeated calls from one
   /// thread are just as allocation-free as the explicit form.
   [[nodiscard]] EvalResult evaluate(const scenario::Scenario& sc,
-                                    const EvalOptions& options = {}) const;
-
-  /// Legacy adapter: compiles a uniform-rate scenario for (g, model,
-  /// retry) and forwards — bit-identical to the Scenario overload.
-  /// Compilation failures (e.g. a cyclic graph) also surface as
-  /// supported == false. Prefer compiling once when evaluating several
-  /// methods on the same cell.
-  [[nodiscard]] EvalResult evaluate(const graph::Dag& g,
-                                    const core::FailureModel& model,
-                                    core::RetryModel retry,
                                     const EvalOptions& options = {}) const;
 
  private:

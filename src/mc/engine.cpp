@@ -24,9 +24,11 @@ struct WorkerAccum {
   std::vector<double> samples;
 };
 
-/// The engine body, over a prebuilt context (scenario-backed or legacy).
-McResult run_monte_carlo_impl(const TrialContext& ctx,
-                              const McConfig& config) {
+}  // namespace
+
+McResult run_monte_carlo(const scenario::Scenario& sc,
+                         const McConfig& config) {
+  const TrialContext ctx(sc);
   // A zero trial count is a misconfiguration (an estimate from nothing),
   // not a request to round up: fail loudly instead of silently clamping.
   if (config.trials == 0) {
@@ -115,18 +117,6 @@ McResult run_monte_carlo_impl(const TrialContext& ctx,
   result.samples = std::move(samples);
   result.seconds = timer.seconds();
   return result;
-}
-
-}  // namespace
-
-McResult run_monte_carlo(const graph::Dag& g, const core::FailureModel& model,
-                         const McConfig& config) {
-  return run_monte_carlo_impl(TrialContext(g, model, config.retry), config);
-}
-
-McResult run_monte_carlo(const scenario::Scenario& sc,
-                         const McConfig& config) {
-  return run_monte_carlo_impl(TrialContext(sc), config);
 }
 
 }  // namespace expmk::mc

@@ -81,15 +81,6 @@ PilotPlan plan_from_pilot_result(McResult pilot, double relative_error,
 
 }  // namespace
 
-PilotPlan plan_with_pilot(const graph::Dag& g,
-                          const core::FailureModel& model,
-                          double relative_error, double confidence,
-                          const McConfig& pilot_config) {
-  check_targets(relative_error, confidence);
-  return plan_from_pilot_result(run_monte_carlo(g, model, pilot_config),
-                                relative_error, confidence);
-}
-
 PilotPlan plan_with_pilot(const scenario::Scenario& sc,
                           double relative_error, double confidence,
                           const McConfig& pilot_config) {

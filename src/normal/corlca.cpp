@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <vector>
 
 #include "exp/level_parallel.hpp"
 #include "graph/level_sets.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::normal {
 
@@ -144,26 +142,6 @@ EXPMK_NOALLOC NormalEstimate corlca_impl(const graph::Dag& g,
 
 }  // namespace
 
-NormalEstimate corlca(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind,
-                      std::span<const graph::TaskId> topo) {
-  const auto p = core::success_probabilities(g, model);
-  const std::size_t n = g.task_count();
-  std::vector<prob::NormalMoments> completion(n);
-  std::vector<graph::TaskId> parent(n);
-  std::vector<std::uint32_t> depth(n);
-  std::vector<double> variance(n);
-  return corlca_impl(g, topo, p, kind, completion,
-                     CorrelationTree{parent, depth, variance},
-                     g.exit_tasks());
-}
-
-NormalEstimate corlca(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind) {
-  const auto topo = graph::topological_order(g);
-  return corlca(g, model, kind, topo);
-}
-
 EXPMK_NOALLOC NormalEstimate corlca(const scenario::Scenario& sc, exp::Workspace& ws) {
   const exp::Workspace::Frame frame(ws);
   const std::size_t n = sc.task_count();
@@ -171,11 +149,6 @@ EXPMK_NOALLOC NormalEstimate corlca(const scenario::Scenario& sc, exp::Workspace
                      ws.moments(n),
                      CorrelationTree{ws.u32(n), ws.u32(n), ws.doubles(n)},
                      sc.exits());
-}
-
-NormalEstimate corlca(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return corlca(sc, ws);
 }
 
 NormalEstimate corlca(const scenario::Scenario& sc, exp::Workspace& ws,

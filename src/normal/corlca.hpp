@@ -16,34 +16,18 @@
 
 #pragma once
 
-#include <span>
-
 #include "normal/sculli.hpp"
 #include "util/contracts.hpp"
 
 namespace expmk::normal {
 
-/// CorLCA estimate.
-[[nodiscard]] NormalEstimate corlca(
-    const graph::Dag& g, const core::FailureModel& model,
-    core::RetryModel kind = core::RetryModel::TwoState);
-
-/// As above with a caller-provided topological order.
-[[nodiscard]] NormalEstimate corlca(const graph::Dag& g,
-                                    const core::FailureModel& model,
-                                    core::RetryModel kind,
-                                    std::span<const graph::TaskId> topo);
-
-/// Workspace kernel — the correlation tree (parent/depth/variance) and
+/// CorLCA estimate: cached order and success probabilities, retry model
+/// from the scenario, heterogeneous rates supported. The correlation tree
+/// (parent/depth/variance) and
 /// the completion-moment array are leased from `ws`: ZERO heap
 /// allocations on a warm workspace.
 EXPMK_NOALLOC [[nodiscard]] NormalEstimate corlca(const scenario::Scenario& sc,
                                     exp::Workspace& ws);
-
-/// Scenario-based entry point: cached order and success probabilities,
-/// retry model from the scenario; heterogeneous rates supported.
-/// Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] NormalEstimate corlca(const scenario::Scenario& sc);
 
 /// Level-parallel variant: a vertex's fold — including its LCA walks —
 /// reads only correlation-tree state of its ancestors, all at strictly

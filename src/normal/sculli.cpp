@@ -1,11 +1,9 @@
 #include "normal/sculli.hpp"
 
 #include <stdexcept>
-#include <vector>
 
 #include "exp/level_parallel.hpp"
 #include "graph/level_sets.hpp"
-#include "graph/topological.hpp"
 
 namespace expmk::normal {
 
@@ -78,9 +76,8 @@ EXPMK_NOALLOC NormalEstimate sculli_exits(
 /// Shared traversal over per-task success probabilities, writing into
 /// caller scratch. The completion moments are pure dataflow over the
 /// graph (each fold reads only ancestors), so any valid topological order
-/// yields identical values — and so does any source of the `completion`
-/// buffer (fresh vector or workspace lease; every entry is written before
-/// it is read).
+/// yields identical values (every `completion` entry is written before it
+/// is read).
 EXPMK_NOALLOC NormalEstimate sculli_impl(const graph::Dag& g,
                            std::span<const graph::TaskId> topo,
                            std::span<const double> p, core::RetryModel kind,
@@ -97,29 +94,10 @@ EXPMK_NOALLOC NormalEstimate sculli_impl(const graph::Dag& g,
 
 }  // namespace
 
-NormalEstimate sculli(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind,
-                      std::span<const graph::TaskId> topo) {
-  const auto p = core::success_probabilities(g, model);
-  std::vector<prob::NormalMoments> completion(g.task_count());
-  return sculli_impl(g, topo, p, kind, completion, g.exit_tasks());
-}
-
-NormalEstimate sculli(const graph::Dag& g, const core::FailureModel& model,
-                      core::RetryModel kind) {
-  const auto topo = graph::topological_order(g);
-  return sculli(g, model, kind, topo);
-}
-
 EXPMK_NOALLOC NormalEstimate sculli(const scenario::Scenario& sc, exp::Workspace& ws) {
   const exp::Workspace::Frame frame(ws);
   return sculli_impl(sc.dag(), sc.topo(), sc.p_success(), sc.retry(),
                      ws.moments(sc.task_count()), sc.exits());
-}
-
-NormalEstimate sculli(const scenario::Scenario& sc) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return sculli(sc, ws);
 }
 
 NormalEstimate sculli(const scenario::Scenario& sc, exp::Workspace& ws,

@@ -14,8 +14,6 @@
 
 #pragma once
 
-#include <span>
-
 #include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
 #include "graph/dag.hpp"
@@ -44,27 +42,13 @@ struct NormalEstimate {
   [[nodiscard]] double expected_makespan() const { return makespan.mean; }
 };
 
-/// Sculli's method (correlations ignored).
-[[nodiscard]] NormalEstimate sculli(
-    const graph::Dag& g, const core::FailureModel& model,
-    core::RetryModel kind = core::RetryModel::TwoState);
-
-/// As above with a caller-provided topological order.
-[[nodiscard]] NormalEstimate sculli(const graph::Dag& g,
-                                    const core::FailureModel& model,
-                                    core::RetryModel kind,
-                                    std::span<const graph::TaskId> topo);
-
-/// Workspace kernel — the completion-moment array (the method's only
+/// Sculli's method (correlations ignored): cached order and success
+/// probabilities, retry model from the scenario, heterogeneous rates
+/// supported. The completion-moment array (the method's only
 /// O(V) scratch) is leased from `ws`, and the exit fold reads the
 /// scenario's cached exits(): ZERO heap allocations on a warm workspace.
 EXPMK_NOALLOC [[nodiscard]] NormalEstimate sculli(const scenario::Scenario& sc,
                                     exp::Workspace& ws);
-
-/// Scenario-based entry point: cached order and success probabilities,
-/// retry model from the scenario; heterogeneous rates supported.
-/// Lease-a-temporary adapter over the workspace kernel.
-[[nodiscard]] NormalEstimate sculli(const scenario::Scenario& sc);
 
 /// Level-parallel variant: the completion fold is pure per-vertex
 /// dataflow over strictly earlier levels, so vertices fan out over the

@@ -61,7 +61,7 @@ class FailureSpec {
   FailureSpec() = default;
 
   /// Uniform rate taken from the classic model (implicit on purpose:
-  /// every legacy `(Dag&, FailureModel)` call site forwards through this).
+  /// `Scenario::compile(dag, model)` reads as the paper's cell).
   FailureSpec(const core::FailureModel& model) : lambda_(model.lambda) {}
 
   /// Uniform rate `lambda` (errors per second of execution).

@@ -23,7 +23,6 @@ namespace expmk::sched {
 struct FaultSimConfig {
   std::uint64_t runs = 1000;
   std::uint64_t seed = 0xFEED;
-  core::RetryModel retry = core::RetryModel::Geometric;
 };
 
 /// Aggregate outcome over the campaign.
@@ -33,27 +32,15 @@ struct FaultSimResult {
 };
 
 /// Runs `config.runs` fault-injected executions of the list schedule with
-/// the given priority vector on `machine`.
-[[nodiscard]] FaultSimResult simulate_with_faults(
-    const graph::Dag& g, std::span<const double> priority,
-    const Machine& machine, const core::FailureModel& model,
-    const FaultSimConfig& config = {});
-
-/// Workspace kernel: the per-run duration and trial-sweep buffers are
-/// leased from `ws`. (The list scheduler itself still builds its Schedule
+/// the given priority vector on `machine`, sampling durations from the
+/// scenario's failure rates and retry model (heterogeneous per-task rates
+/// supported). The per-run duration and trial-sweep buffers are leased
+/// from `ws`. (The list scheduler itself still builds its Schedule
 /// per run — the simulation is a Monte-Carlo campaign, not one of the
 /// allocation-pinned analytic paths.)
 [[nodiscard]] FaultSimResult simulate_with_faults(
     const scenario::Scenario& sc, std::span<const double> priority,
     const Machine& machine, const FaultSimConfig& config,
     exp::Workspace& ws);
-
-/// Scenario-based entry point (no CSR rebuild; heterogeneous per-task
-/// rates supported). `config.retry` is ignored — the scenario's retry
-/// model governs sampling. Lease-a-temporary adapter over the workspace
-/// kernel.
-[[nodiscard]] FaultSimResult simulate_with_faults(
-    const scenario::Scenario& sc, std::span<const double> priority,
-    const Machine& machine, const FaultSimConfig& config = {});
 
 }  // namespace expmk::sched

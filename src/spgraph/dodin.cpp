@@ -107,29 +107,6 @@ DodinResult dodin(ArcNetwork net, const DodinOptions& options) {
   return result;
 }
 
-DodinResult dodin_two_state(const graph::Dag& g,
-                            const core::FailureModel& model,
-                            const DodinOptions& options) {
-  std::vector<prob::DiscreteDistribution> dist;
-  dist.reserve(g.task_count());
-  for (graph::TaskId i = 0; i < g.task_count(); ++i) {
-    const double a = g.weight(i);
-    if (a <= 0.0) {
-      dist.push_back(prob::DiscreteDistribution::point(0.0));
-    } else {
-      dist.push_back(
-          prob::DiscreteDistribution::two_state(a, model.p_success(a)));
-    }
-  }
-  return dodin(ArcNetwork::from_dag(g, std::move(dist)), options);
-}
-
-DodinResult dodin_two_state(const scenario::Scenario& sc,
-                            const DodinOptions& options) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return dodin_two_state(sc, options, ws);
-}
-
 DodinResult dodin_two_state(const scenario::Scenario& sc,
                             const DodinOptions& options, exp::Workspace& ws) {
   // The flat engine (flat_network.cpp) does all the work on ws-leased

@@ -33,7 +33,6 @@
 
 #include <cstddef>
 
-#include "core/failure_model.hpp"
 #include "exp/workspace.hpp"
 #include "graph/dag.hpp"
 #include "prob/discrete_distribution.hpp"
@@ -73,24 +72,12 @@ struct DodinResult {
 /// Runs Dodin's algorithm on an arbitrary AoA network (consumed).
 [[nodiscard]] DodinResult dodin(ArcNetwork net, const DodinOptions& options = {});
 
-/// Paper pipeline: task durations are the 2-state laws of `model`
-/// (a_i w.p. e^{-lambda a_i}, else 2 a_i); returns the Dodin estimate of
-/// the expected makespan of `g`.
-[[nodiscard]] DodinResult dodin_two_state(const graph::Dag& g,
-                                          const core::FailureModel& model,
-                                          const DodinOptions& options = {});
-
-/// Scenario-based entry point (lease-a-temporary adapter over the flat
-/// engine). Heterogeneous per-task rates are supported: each task's
-/// 2-state law carries its own cached p_i. The scenario's retry model
-/// must be TwoState.
-[[nodiscard]] DodinResult dodin_two_state(const scenario::Scenario& sc,
-                                          const DodinOptions& options = {});
-
-/// Workspace overload: runs the FLAT transformation engine
-/// (flat_network.cpp) on `ws`-leased arenas and materializes the
-/// DodinResult (allocating only for the returned distribution object).
-/// Prefer dodin_two_state_flat on the serving hot path.
+/// Paper pipeline: task durations are each task's 2-state law (a_i w.p.
+/// p_i, else 2 a_i; heterogeneous per-task rates supported). Runs the
+/// FLAT transformation engine (flat_network.cpp) on `ws`-leased arenas
+/// and materializes the DodinResult (allocating only for the returned
+/// distribution object). Prefer dodin_two_state_flat on the serving hot
+/// path. The scenario's retry model must be TwoState.
 [[nodiscard]] DodinResult dodin_two_state(const scenario::Scenario& sc,
                                           const DodinOptions& options,
                                           exp::Workspace& ws);

@@ -109,12 +109,6 @@ SpEvaluation evaluate_sp(ArcNetwork net, std::size_t max_atoms) {
   return out;
 }
 
-SpEvaluation evaluate_sp(const scenario::Scenario& sc,
-                         std::size_t max_atoms) {
-  exp::Workspace ws;  // lease-a-temporary adapter; bit-identical
-  return evaluate_sp(sc, max_atoms, ws);
-}
-
 SpEvaluation evaluate_sp(const scenario::Scenario& sc, std::size_t max_atoms,
                          exp::Workspace& ws) {
   // The flat engine (flat_network.cpp) does all the work on ws-leased

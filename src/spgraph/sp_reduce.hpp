@@ -66,17 +66,13 @@ struct SpEvaluation {
 /// (task durations = 2-state laws for the given failure model's lambda).
 SpEvaluation evaluate_sp(ArcNetwork net, std::size_t max_atoms = 0);
 
-/// Scenario-based entry point: builds the AoA network with each task's
-/// own 2-state law (a_i w.p. p_i, else 2 a_i) from the scenario's cached
+/// Scenario entry point: builds the AoA network with each task's own
+/// 2-state law (a_i w.p. p_i, else 2 a_i) from the scenario's cached
 /// success probabilities — heterogeneous per-task rates supported — and
-/// reduces it. The scenario's retry model must be TwoState.
-SpEvaluation evaluate_sp(const scenario::Scenario& sc,
-                         std::size_t max_atoms = 0);
-
-/// Workspace overload: runs the FLAT reduction engine (flat_network.cpp)
-/// on `ws`-leased arenas and materializes the SpEvaluation (allocating
-/// only for the returned distribution object). Prefer evaluate_sp_flat
-/// on the serving hot path.
+/// reduces it with the FLAT engine (flat_network.cpp) on `ws`-leased
+/// arenas, materializing the SpEvaluation (allocating only for the
+/// returned distribution object). Prefer evaluate_sp_flat on the serving
+/// hot path. The scenario's retry model must be TwoState.
 SpEvaluation evaluate_sp(const scenario::Scenario& sc, std::size_t max_atoms,
                          exp::Workspace& ws);
 

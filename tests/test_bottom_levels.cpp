@@ -12,6 +12,9 @@
 #include "graph/topological.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::failure_aware_bottom_level;
@@ -57,7 +60,7 @@ TEST(FailureAwareBottomLevels, EntryEqualsFirstOrderOfWholeGraph) {
   ASSERT_EQ(g.entry_tasks().size(), 1u);
   const FailureModel m{0.02};
   const auto aware = failure_aware_bottom_levels(g, m);
-  const auto fo = expmk::core::first_order(g, m);
+  const auto fo = expmk::core::first_order(compile(g, m), Workspace::local());
   EXPECT_NEAR(aware[g.entry_tasks()[0]], fo.expected_makespan(), 1e-9);
 }
 

@@ -15,6 +15,9 @@
 #include "mc/engine.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::exact_two_state;
@@ -27,8 +30,9 @@ TEST(Bounds, EnvelopeContainsExactOnEnumerableGraphs) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const auto g = expmk::gen::erdos_dag(12, 0.3, seed);
     const FailureModel m{0.2};
-    const auto b = makespan_bounds(g, m);
-    const double exact = exact_two_state(g, m);
+    const auto sc = compile(g, m);
+    const auto b = makespan_bounds(sc, Workspace::local());
+    const double exact = exact_two_state(sc, Workspace::local());
     EXPECT_LE(b.failure_free, exact + 1e-12) << seed;
     EXPECT_LE(b.jensen_lower, exact + 1e-9) << seed;
     EXPECT_GE(b.level_upper, exact - 1e-9) << seed;
@@ -41,8 +45,9 @@ TEST(Bounds, ChainBoundsAreTight) {
   // bound are exact.
   const auto g = expmk::gen::uniform_chain(6, 0.5);
   const FailureModel m{0.3};
-  const auto b = makespan_bounds(g, m);
-  const double exact = exact_two_state(g, m);
+  const auto sc = compile(g, m);
+  const auto b = makespan_bounds(sc, Workspace::local());
+  const double exact = exact_two_state(sc, Workspace::local());
   EXPECT_NEAR(b.jensen_lower, exact, 1e-12);
   EXPECT_NEAR(b.level_upper, exact, 1e-12);
 }
@@ -51,8 +56,9 @@ TEST(Bounds, IndependentTasksUpperIsTight) {
   // All tasks in one level: the level bound IS E[max], i.e. exact.
   const auto g = expmk::gen::independent_tasks(8, 3);
   const FailureModel m{0.4};
-  const auto b = makespan_bounds(g, m);
-  EXPECT_NEAR(b.level_upper, exact_two_state(g, m), 1e-9);
+  const auto sc = compile(g, m);
+  const auto b = makespan_bounds(sc, Workspace::local());
+  EXPECT_NEAR(b.level_upper, exact_two_state(sc, Workspace::local()), 1e-9);
   // Jensen is strictly loose here (max of means < mean of max).
   EXPECT_LT(b.jensen_lower, b.level_upper);
 }
@@ -60,15 +66,18 @@ TEST(Bounds, IndependentTasksUpperIsTight) {
 TEST(Bounds, FirstOrderRespectsEnvelopeAtSmallLambda) {
   const auto g = expmk::gen::cholesky_dag(5);
   const FailureModel m = expmk::core::calibrate(g, 0.001);
-  const auto b = makespan_bounds(g, m);
-  const double fo = expmk::core::first_order(g, m).expected_makespan();
+  const auto sc = compile(g, m);
+  const auto b = makespan_bounds(sc, Workspace::local());
+  const double fo =
+      expmk::core::first_order(sc, Workspace::local()).expected_makespan();
   EXPECT_GE(fo, b.failure_free);
   EXPECT_LE(fo, b.level_upper * (1.0 + 1e-9));
 }
 
 TEST(Bounds, ZeroLambdaCollapsesEverything) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
-  const auto b = makespan_bounds(g, FailureModel{0.0});
+  const auto b =
+      makespan_bounds(compile(g, FailureModel{0.0}), Workspace::local());
   EXPECT_DOUBLE_EQ(b.failure_free, 8.0);
   EXPECT_DOUBLE_EQ(b.jensen_lower, 8.0);
   // Level bound remains a decomposition bound even deterministically:
@@ -81,8 +90,9 @@ TEST(ConditionalMc, MatchesExactWithinCi) {
   const FailureModel m{0.1};
   ConditionalMcConfig cfg;
   cfg.trials = 100'000;
-  const auto r = run_conditional_monte_carlo(g, m, cfg);
-  const double exact = exact_two_state(g, m);
+  const auto sc = compile(g, m);
+  const auto r = run_conditional_monte_carlo(sc, cfg);
+  const double exact = exact_two_state(sc, Workspace::local());
   EXPECT_NEAR(r.mean, exact, 4.0 * r.ci95_half_width + 1e-9);
   // p0 is exact.
   double p0 = 1.0;
@@ -98,14 +108,15 @@ TEST(ConditionalMc, Deterministic) {
   const FailureModel m = expmk::core::calibrate(g, 0.01);
   ConditionalMcConfig cfg;
   cfg.trials = 5'000;
-  const auto a = run_conditional_monte_carlo(g, m, cfg);
-  const auto b = run_conditional_monte_carlo(g, m, cfg);
+  const auto sc = compile(g, m);
+  const auto a = run_conditional_monte_carlo(sc, cfg);
+  const auto b = run_conditional_monte_carlo(sc, cfg);
   EXPECT_DOUBLE_EQ(a.mean, b.mean);
 }
 
 TEST(ConditionalMc, ZeroLambdaIsAnalytic) {
   const auto g = expmk::gen::cholesky_dag(3);
-  const auto r = run_conditional_monte_carlo(g, FailureModel{0.0}, {});
+  const auto r = run_conditional_monte_carlo(compile(g, FailureModel{0.0}), {});
   EXPECT_DOUBLE_EQ(r.mean, r.critical_path);
   EXPECT_DOUBLE_EQ(r.std_error, 0.0);
   EXPECT_EQ(r.trials, 0u);
@@ -119,12 +130,12 @@ TEST(ConditionalMc, BeatsPlainMcAtLowPfail) {
 
   expmk::mc::McConfig plain_cfg;
   plain_cfg.trials = 30'000;
-  plain_cfg.retry = expmk::core::RetryModel::TwoState;
-  const auto plain = expmk::mc::run_monte_carlo(g, m, plain_cfg);
+  const auto sc = compile(g, m, expmk::core::RetryModel::TwoState);
+  const auto plain = expmk::mc::run_monte_carlo(sc, plain_cfg);
 
   ConditionalMcConfig cond_cfg;
   cond_cfg.trials = 30'000;
-  const auto cond = run_conditional_monte_carlo(g, m, cond_cfg);
+  const auto cond = run_conditional_monte_carlo(compile(g, m), cond_cfg);
 
   EXPECT_LT(cond.std_error, plain.std_error / 2.0);
   // And both agree with each other within CIs.
@@ -136,11 +147,12 @@ TEST(ConditionalMc, ZeroTrialsThrowsInsteadOfClamping) {
   const auto g = expmk::test::diamond();
   ConditionalMcConfig cfg;
   cfg.trials = 0;
-  EXPECT_THROW((void)run_conditional_monte_carlo(g, FailureModel{0.1}, cfg),
+  const auto sc = compile(g, FailureModel{0.1});
+  EXPECT_THROW((void)run_conditional_monte_carlo(sc, cfg),
                std::invalid_argument);
   cfg.trials = 10;
   cfg.max_rejections_per_trial = 0;
-  EXPECT_THROW((void)run_conditional_monte_carlo(g, FailureModel{0.1}, cfg),
+  EXPECT_THROW((void)run_conditional_monte_carlo(sc, cfg),
                std::invalid_argument);
 }
 
@@ -153,7 +165,7 @@ TEST(ConditionalMc, MicroscopicFailureProbabilityCensorsEveryTrial) {
   ConditionalMcConfig cfg;
   cfg.trials = 200;
   cfg.max_rejections_per_trial = 20;
-  const auto r = run_conditional_monte_carlo(g, m, cfg);
+  const auto r = run_conditional_monte_carlo(compile(g, m), cfg);
   EXPECT_EQ(r.censored_trials, 200u);
   EXPECT_EQ(r.trials, 0u);  // zero accepted conditional samples
   EXPECT_DOUBLE_EQ(r.conditional_mean, r.critical_path);
@@ -172,13 +184,14 @@ TEST(ConditionalMc, CensoredTrialsDoNotBiasConditionalMean) {
   ConditionalMcConfig cfg;
   cfg.trials = 60'000;
   cfg.max_rejections_per_trial = 1;
-  const auto r = run_conditional_monte_carlo(g, m, cfg);
+  const auto sc = compile(g, m);
+  const auto r = run_conditional_monte_carlo(sc, cfg);
 
   EXPECT_EQ(r.trials + r.censored_trials, 60'000u);
   const double p0 = r.p_zero_failures;
   EXPECT_NEAR(static_cast<double>(r.censored_trials) / 60'000.0, p0, 0.01);
 
-  const double exact = exact_two_state(g, m);
+  const double exact = exact_two_state(sc, Workspace::local());
   const double cond_exact =
       (exact - p0 * r.critical_path) / (1.0 - p0);
   const double cond_stderr = r.std_error / (1.0 - p0);
@@ -192,7 +205,7 @@ TEST(ConditionalMc, RejectionCountMatchesTheory) {
   const FailureModel m = expmk::core::calibrate(g, 0.001);
   ConditionalMcConfig cfg;
   cfg.trials = 20'000;
-  const auto r = run_conditional_monte_carlo(g, m, cfg);
+  const auto r = run_conditional_monte_carlo(compile(g, m), cfg);
   const double p0 = r.p_zero_failures;
   const double expected = p0 / (1.0 - p0);
   EXPECT_NEAR(r.avg_rejections, expected, 0.15 * expected);

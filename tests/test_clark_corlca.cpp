@@ -15,6 +15,9 @@
 #include "normal/sculli.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::exact_two_state;
@@ -46,29 +49,32 @@ expmk::graph::Dag shared_prefix_fork(int prefix_len) {
 TEST(ClarkFull, ChainMatchesSculliExactly) {
   const auto g = expmk::gen::uniform_chain(5, 0.4);
   const FailureModel m{0.2};
-  EXPECT_NEAR(clark_full(g, m).expected_makespan(),
-              sculli(g, m).expected_makespan(), 1e-12);
+  const auto sc = compile(g, m);
+  EXPECT_NEAR(clark_full(sc, Workspace::local()).expected_makespan(),
+              sculli(sc, Workspace::local()).expected_makespan(), 1e-12);
 }
 
 TEST(ClarkFull, CorrectsSharedPrefixBias) {
   const auto g = shared_prefix_fork(8);
   const FailureModel m{0.25};
-  const double exact = exact_two_state(g, m);
+  const auto sc = compile(g, m);
+  const double exact = exact_two_state(sc, Workspace::local());
   const double err_sculli =
-      std::fabs(sculli(g, m).expected_makespan() - exact);
+      std::fabs(sculli(sc, Workspace::local()).expected_makespan() - exact);
   const double err_full =
-      std::fabs(clark_full(g, m).expected_makespan() - exact);
+      std::fabs(clark_full(sc, Workspace::local()).expected_makespan() - exact);
   EXPECT_LT(err_full, err_sculli);
 }
 
 TEST(CorLca, CorrectsSharedPrefixBias) {
   const auto g = shared_prefix_fork(8);
   const FailureModel m{0.25};
-  const double exact = exact_two_state(g, m);
+  const auto sc = compile(g, m);
+  const double exact = exact_two_state(sc, Workspace::local());
   const double err_sculli =
-      std::fabs(sculli(g, m).expected_makespan() - exact);
+      std::fabs(sculli(sc, Workspace::local()).expected_makespan() - exact);
   const double err_corlca =
-      std::fabs(corlca(g, m).expected_makespan() - exact);
+      std::fabs(corlca(sc, Workspace::local()).expected_makespan() - exact);
   EXPECT_LT(err_corlca, err_sculli);
 }
 
@@ -79,8 +85,10 @@ TEST(ClarkFull, TracksFullCorrelationOnSharedPrefix) {
   // (~0.5%), far below Sculli's correlation-blind bias on this shape.
   const auto g = shared_prefix_fork(12);
   const FailureModel m{0.15};
-  const double exact = exact_two_state(g, m);
-  EXPECT_NEAR(clark_full(g, m).expected_makespan(), exact, 0.005 * exact);
+  const auto sc = compile(g, m);
+  const double exact = exact_two_state(sc, Workspace::local());
+  EXPECT_NEAR(clark_full(sc, Workspace::local()).expected_makespan(),
+              exact, 0.005 * exact);
 }
 
 TEST(ClarkCorlca, AgreeWithSculliWhenIndependent) {
@@ -93,9 +101,10 @@ TEST(ClarkCorlca, AgreeWithSculliWhenIndependent) {
   g.add_edge(root, a);
   g.add_edge(root, b);
   const FailureModel m{0.3};
-  const double s = sculli(g, m).expected_makespan();
-  EXPECT_NEAR(clark_full(g, m).expected_makespan(), s, 1e-10);
-  EXPECT_NEAR(corlca(g, m).expected_makespan(), s, 1e-10);
+  const auto sc = compile(g, m);
+  const double s = sculli(sc, Workspace::local()).expected_makespan();
+  EXPECT_NEAR(clark_full(sc, Workspace::local()).expected_makespan(), s, 1e-10);
+  EXPECT_NEAR(corlca(sc, Workspace::local()).expected_makespan(), s, 1e-10);
 }
 
 class NormalVariantsSweep : public ::testing::TestWithParam<std::uint64_t> {
@@ -104,10 +113,12 @@ class NormalVariantsSweep : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(NormalVariantsSweep, AllVariantsLandNearExact) {
   const auto g = expmk::gen::erdos_dag(12, 0.3, GetParam());
   const FailureModel m{0.05};
-  const double exact = exact_two_state(g, m);
+  const auto sc = compile(g, m);
+  const double exact = exact_two_state(sc, Workspace::local());
   for (const double est :
-       {sculli(g, m).expected_makespan(), clark_full(g, m).expected_makespan(),
-        corlca(g, m).expected_makespan()}) {
+       {sculli(sc, Workspace::local()).expected_makespan(),
+        clark_full(sc, Workspace::local()).expected_makespan(),
+        corlca(sc, Workspace::local()).expected_makespan()}) {
     EXPECT_NEAR(est, exact, 0.06 * exact);
   }
 }
@@ -120,8 +131,9 @@ TEST(ClarkFull, CorrelationImprovesCholeskyEstimate) {
   // be worse than Sculli by more than noise; typically it is better.
   const auto g = expmk::gen::cholesky_dag(4);
   const FailureModel m = expmk::core::calibrate(g, 0.01);
-  const double s = sculli(g, m).expected_makespan();
-  const double f = clark_full(g, m).expected_makespan();
+  const auto sc = compile(g, m);
+  const double s = sculli(sc, Workspace::local()).expected_makespan();
+  const double f = clark_full(sc, Workspace::local()).expected_makespan();
   // Both close to each other; full must not blow up.
   EXPECT_NEAR(f, s, 0.05 * s);
   // And the fully-correlated estimate is below Sculli's independent-max
@@ -133,12 +145,13 @@ TEST(ClarkFull, SizeLimitEnforced) {
   // 8193 tasks exceeds the dense-covariance limit.
   const auto g = expmk::gen::independent_tasks(10, 1);
   (void)g;  // small graph fine:
-  EXPECT_NO_THROW((void)clark_full(g, FailureModel{0.1}));
+  EXPECT_NO_THROW((void)clark_full(compile(g, FailureModel{0.1}),
+                                   Workspace::local()));
 }
 
 TEST(CorLca, EmptyGraphThrows) {
-  EXPECT_THROW((void)corlca(expmk::graph::Dag{}, FailureModel{0.1}),
-               std::invalid_argument);
+  const auto sc = compile(expmk::graph::Dag{}, FailureModel{0.1});
+  EXPECT_THROW((void)corlca(sc, Workspace::local()), std::invalid_argument);
 }
 
 }  // namespace

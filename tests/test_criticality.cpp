@@ -8,6 +8,9 @@
 #include "gen/random_dags.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::critical_tasks;
@@ -39,7 +42,9 @@ TEST(Criticality, ZeroLambdaMatchesDeterministicSlack) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
   CriticalityConfig cfg;
   cfg.trials = 200;
-  const auto p = criticality_probabilities(g, FailureModel{0.0}, cfg);
+  const auto sc =
+      compile(g, FailureModel{0.0}, expmk::core::RetryModel::Geometric);
+  const auto p = criticality_probabilities(sc, cfg, Workspace::local());
   EXPECT_DOUBLE_EQ(p[g.find_by_name("A")], 1.0);
   EXPECT_DOUBLE_EQ(p[g.find_by_name("C")], 1.0);
   EXPECT_DOUBLE_EQ(p[g.find_by_name("B")], 0.0);
@@ -51,7 +56,8 @@ TEST(Criticality, FailuresMakeSlackTasksSometimesCritical) {
   const FailureModel m{0.3};  // sizeable failure probability
   CriticalityConfig cfg;
   cfg.trials = 20'000;
-  const auto p = criticality_probabilities(g, m, cfg);
+  const auto sc = compile(g, m, expmk::core::RetryModel::Geometric);
+  const auto p = criticality_probabilities(sc, cfg, Workspace::local());
   const auto B = g.find_by_name("B");
   const auto C = g.find_by_name("C");
   EXPECT_GT(p[B], 0.05);
@@ -66,7 +72,9 @@ TEST(Criticality, ProbabilitiesAreProbabilities) {
   const auto g = expmk::gen::erdos_dag(25, 0.2, 7);
   CriticalityConfig cfg;
   cfg.trials = 2'000;
-  const auto p = criticality_probabilities(g, FailureModel{0.1}, cfg);
+  const auto sc =
+      compile(g, FailureModel{0.1}, expmk::core::RetryModel::Geometric);
+  const auto p = criticality_probabilities(sc, cfg, Workspace::local());
   for (const double x : p) {
     EXPECT_GE(x, 0.0);
     EXPECT_LE(x, 1.0);
@@ -77,8 +85,10 @@ TEST(Criticality, Deterministic) {
   const auto g = expmk::gen::cholesky_dag(3);
   CriticalityConfig cfg;
   cfg.trials = 500;
-  const auto a = criticality_probabilities(g, FailureModel{0.1}, cfg);
-  const auto b = criticality_probabilities(g, FailureModel{0.1}, cfg);
+  const auto sc =
+      compile(g, FailureModel{0.1}, expmk::core::RetryModel::Geometric);
+  const auto a = criticality_probabilities(sc, cfg, Workspace::local());
+  const auto b = criticality_probabilities(sc, cfg, Workspace::local());
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
 }
 
@@ -94,8 +104,8 @@ TEST(Criticality, BernoulliMatchesHandComputedProbability) {
   const double expected = (1.0 - p1) * p2;  // t2 critical cases
   CriticalityConfig cfg;
   cfg.trials = 100'000;
-  cfg.retry = expmk::core::RetryModel::TwoState;
-  const auto p = criticality_probabilities(g, m, cfg);
+  const auto sc = compile(g, m, expmk::core::RetryModel::TwoState);
+  const auto p = criticality_probabilities(sc, cfg, Workspace::local());
   EXPECT_NEAR(p[1], expected, 0.01);
   EXPECT_NEAR(p[0], 1.0 - expected, 0.01);
 }

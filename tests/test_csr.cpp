@@ -20,6 +20,8 @@
 #include "prob/rng.hpp"
 #include "test_helpers.hpp"
 
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::FailureModel;
@@ -173,7 +175,8 @@ TEST(CsrTrialKernel, BitIdenticalToReferenceScalarLoop) {
        {RetryModel::Geometric, RetryModel::TwoState}) {
     for (const Dag& g : fixture_dags()) {
       const auto model = expmk::core::calibrate(g, 0.05);
-      const TrialContext ctx(g, model, retry);
+      const auto sc = compile(g, model, retry);
+      const TrialContext ctx(sc);
       std::vector<double> finish(g.task_count());
       std::vector<double> durations;
       for (std::uint64_t t = 0; t < 500; ++t) {
@@ -191,7 +194,8 @@ TEST(CsrTrialKernel, BitIdenticalToReferenceScalarLoop) {
 TEST(CsrTrialKernel, AdapterScattersDurationsInDagOrder) {
   const Dag g = expmk::gen::lu_dag(4);
   const auto model = expmk::core::calibrate(g, 0.1);
-  const TrialContext ctx(g, model, RetryModel::Geometric);
+  const auto sc = compile(g, model, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   std::vector<double> durations(g.task_count());
   std::vector<double> ref_durations;
   for (std::uint64_t t = 0; t < 100; ++t) {
@@ -209,7 +213,8 @@ TEST(CsrTrialKernel, AdapterScattersDurationsInDagOrder) {
 TEST(CsrTrialKernel, AdapterRejectsUndersizedBuffer) {
   const Dag g = expmk::gen::lu_dag(3);
   const auto model = expmk::core::calibrate(g, 0.01);
-  const TrialContext ctx(g, model, RetryModel::Geometric);
+  const auto sc = compile(g, model, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   expmk::prob::McRng rng(1);
   std::vector<double> too_small;  // the pre-CSR adapter would resize this
   EXPECT_THROW((void)expmk::mc::run_trial(ctx, rng, too_small),
@@ -221,7 +226,8 @@ TEST(CsrTrialKernel, AdapterRejectsUndersizedBuffer) {
 TEST(CsrTrialKernel, ControlVariantDrawsIdenticalStream) {
   const Dag g = expmk::gen::lu_dag(4);
   const auto model = expmk::core::calibrate(g, 0.05);
-  const TrialContext ctx(g, model, RetryModel::Geometric);
+  const auto sc = compile(g, model, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   std::vector<double> finish(g.task_count());
   for (std::uint64_t t = 0; t < 200; ++t) {
     expmk::prob::McRng rng_a(13, t);
@@ -240,18 +246,19 @@ TEST(CsrTrialKernel, ControlVariantDrawsIdenticalStream) {
 TEST(CsrEngineDeterminism, BitIdenticalAcrossThreadCounts) {
   const Dag g = expmk::gen::lu_dag(5);
   ASSERT_GE(g.task_count(), 50u);
-  const auto model = expmk::core::calibrate(g, 0.01);
+  const auto sc = compile(g, expmk::core::calibrate(g, 0.01),
+                          RetryModel::Geometric);
   for (const bool cv : {false, true}) {
     expmk::mc::McConfig cfg;
     cfg.trials = 3000;
     cfg.seed = 77;
     cfg.control_variate = cv;
     cfg.threads = 1;
-    const auto r1 = run_monte_carlo(g, model, cfg);
+    const auto r1 = run_monte_carlo(sc, cfg);
     cfg.threads = 2;
-    const auto r2 = run_monte_carlo(g, model, cfg);
+    const auto r2 = run_monte_carlo(sc, cfg);
     cfg.threads = 7;
-    const auto r7 = run_monte_carlo(g, model, cfg);
+    const auto r7 = run_monte_carlo(sc, cfg);
     EXPECT_EQ(r1.mean, r2.mean) << "cv=" << cv;
     EXPECT_EQ(r2.mean, r7.mean) << "cv=" << cv;
     EXPECT_EQ(r1.variance, r2.variance) << "cv=" << cv;
@@ -270,9 +277,10 @@ TEST(CsrEngineDeterminism, EngineSamplesMatchReferenceLoop) {
   cfg.trials = 600;
   cfg.seed = 31337;
   cfg.capture_samples = true;
-  const auto r = run_monte_carlo(g, model, cfg);
+  const auto sc = compile(g, model, RetryModel::Geometric);
+  const auto r = run_monte_carlo(sc, cfg);
   ASSERT_EQ(r.samples.size(), cfg.trials);
-  const TrialContext ctx(g, model, cfg.retry);
+  const TrialContext ctx(sc);
   std::vector<double> durations;
   for (std::uint64_t t = 0; t < cfg.trials; ++t) {
     expmk::prob::McRng rng(cfg.seed, t);

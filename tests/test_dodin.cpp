@@ -13,6 +13,9 @@
 #include "spgraph/dodin.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::exact_two_state;
@@ -23,17 +26,21 @@ using expmk::sp::DodinOptions;
 TEST(Dodin, ExactOnChain) {
   const auto g = expmk::gen::uniform_chain(5, 0.4);
   const FailureModel m{0.2};
-  const auto r = dodin_two_state(g, m, {.max_atoms = 0});
+  const auto sc = compile(g, m);
+  const auto r = dodin_two_state(sc, {.max_atoms = 0}, Workspace::local());
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.expected_makespan(), exact_two_state(g, m), 1e-12);
+  EXPECT_NEAR(r.expected_makespan(), exact_two_state(sc, Workspace::local()),
+              1e-12);
 }
 
 TEST(Dodin, ExactOnDiamond) {
   const auto g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   const FailureModel m{0.25};
-  const auto r = dodin_two_state(g, m, {.max_atoms = 0});
+  const auto sc = compile(g, m);
+  const auto r = dodin_two_state(sc, {.max_atoms = 0}, Workspace::local());
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.expected_makespan(), exact_two_state(g, m), 1e-12);
+  EXPECT_NEAR(r.expected_makespan(), exact_two_state(sc, Workspace::local()),
+              1e-12);
 }
 
 // Property: on random SP graphs Dodin needs no duplication and is exact.
@@ -42,9 +49,11 @@ class DodinSpSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DodinSpSweep, NoDuplicationAndExactOnSpGraphs) {
   const auto g = expmk::gen::random_series_parallel(12, GetParam());
   const FailureModel m{0.1};
-  const auto r = dodin_two_state(g, m, {.max_atoms = 0});
+  const auto sc = compile(g, m);
+  const auto r = dodin_two_state(sc, {.max_atoms = 0}, Workspace::local());
   EXPECT_EQ(r.duplications, 0u);
-  EXPECT_NEAR(r.expected_makespan(), exact_two_state(g, m), 1e-10);
+  EXPECT_NEAR(r.expected_makespan(), exact_two_state(sc, Workspace::local()),
+              1e-10);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DodinSpSweep,
@@ -59,14 +68,17 @@ TEST(Dodin, NGraphNeedsDuplicationAndOverestimates) {
   // discussion of the paper's sign on Table I.)
   const auto g = expmk::test::n_graph(0.4, 0.5, 0.45, 0.55);
   const FailureModel m{0.4};  // large rate to make the bias visible
-  const auto r = dodin_two_state(g, m, {.max_atoms = 0});
+  const auto sc = compile(g, m);
+  const auto r = dodin_two_state(sc, {.max_atoms = 0}, Workspace::local());
   EXPECT_GE(r.duplications, 1u);
-  EXPECT_GE(r.expected_makespan(), exact_two_state(g, m) - 1e-12);
+  EXPECT_GE(r.expected_makespan(),
+            exact_two_state(sc, Workspace::local()) - 1e-12);
 }
 
 TEST(Dodin, WheatstoneBridgeTerminates) {
   const auto g = expmk::gen::wheatstone_bridge();
-  const auto r = dodin_two_state(g, FailureModel{0.2}, {.max_atoms = 0});
+  const auto r = dodin_two_state(compile(g, FailureModel{0.2}),
+                                 {.max_atoms = 0}, Workspace::local());
   EXPECT_GE(r.duplications, 1u);
   EXPECT_GT(r.expected_makespan(), 0.0);
 }
@@ -78,8 +90,9 @@ class DodinRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(DodinRandomSweep, TerminatesAndUpperBounds) {
   const auto g = expmk::gen::erdos_dag(12, 0.25, GetParam());
   const FailureModel m{0.3};
-  const auto r = dodin_two_state(g, m, {.max_atoms = 128});
-  const double exact = exact_two_state(g, m);
+  const auto sc = compile(g, m);
+  const auto r = dodin_two_state(sc, {.max_atoms = 128}, Workspace::local());
+  const double exact = exact_two_state(sc, Workspace::local());
   EXPECT_GE(r.expected_makespan(), exact * (1.0 - 1e-3));
   EXPECT_GT(r.expected_makespan(), 0.0);
 }
@@ -90,10 +103,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DodinRandomSweep,
 TEST(Dodin, AtomBudgetKeepsMeanStable) {
   const auto g = expmk::gen::cholesky_dag(4);
   const FailureModel m = expmk::core::calibrate(g, 0.01);
+  const auto sc = compile(g, m);
   const double loose =
-      dodin_two_state(g, m, {.max_atoms = 512}).expected_makespan();
+      dodin_two_state(sc, {.max_atoms = 512},
+                      Workspace::local()).expected_makespan();
   const double tight =
-      dodin_two_state(g, m, {.max_atoms = 32}).expected_makespan();
+      dodin_two_state(sc, {.max_atoms = 32},
+                      Workspace::local()).expected_makespan();
   // Truncation is mean-preserving per merge; downstream max() operations
   // re-introduce small deviations only.
   EXPECT_NEAR(loose, tight, 0.01 * loose);
@@ -102,7 +118,8 @@ TEST(Dodin, AtomBudgetKeepsMeanStable) {
 TEST(Dodin, RunsOnPaperScaleCholesky) {
   const auto g = expmk::gen::cholesky_dag(6);
   const FailureModel m = expmk::core::calibrate(g, 0.001);
-  const auto r = dodin_two_state(g, m, {.max_atoms = 64});
+  const auto r =
+      dodin_two_state(compile(g, m), {.max_atoms = 64}, Workspace::local());
   EXPECT_GT(r.duplications, 0u);
   // Sanity: the estimate lands in the same ballpark as the failure-free
   // critical path (silent errors at pfail = 1e-3 add well under 10%).
@@ -116,7 +133,8 @@ TEST(Dodin, DuplicationBudgetEnforced) {
   DodinOptions opts;
   opts.max_atoms = 32;
   opts.max_duplications = 1;
-  EXPECT_THROW((void)dodin_two_state(g, FailureModel{0.1}, opts),
+  const auto sc = compile(g, FailureModel{0.1});
+  EXPECT_THROW((void)dodin_two_state(sc, opts, Workspace::local()),
                std::runtime_error);
 }
 

@@ -10,6 +10,9 @@
 #include "gen/cholesky.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::best_speed_for_makespan;
@@ -78,8 +81,8 @@ TEST(DvfsSweep, SweepAgreesWithDirectFirstOrder) {
   for (expmk::graph::TaskId i = 0; i < g.task_count(); ++i) {
     scaled.set_weight(i, g.weight(i) / s);
   }
-  const auto fo = expmk::core::first_order(
-      scaled, expmk::core::FailureModel{m.lambda(s)});
+  const auto sc = compile(scaled, expmk::core::FailureModel{m.lambda(s)});
+  const auto fo = expmk::core::first_order(sc, Workspace::local());
   EXPECT_NEAR(sweep[0].expected_makespan, fo.expected_makespan(), 1e-12);
   EXPECT_NEAR(sweep[0].lambda, m.lambda(s), 1e-15);
 }

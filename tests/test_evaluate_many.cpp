@@ -22,6 +22,7 @@
 #include "gen/random_dags.hpp"
 #include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -36,6 +37,7 @@ using expmk::exp::EvaluatorRegistry;
 using expmk::graph::Dag;
 using expmk::scenario::FailureSpec;
 using expmk::scenario::Scenario;
+using expmk::util::ThreadPool;
 
 Scenario compile_fixture() {
   const Dag g = expmk::gen::erdos_dag(14, 0.25, 21);
@@ -61,12 +63,14 @@ TEST(EvaluateMany, UnknownMethodThrowsBeforeAnyWork) {
   std::vector<EvalRequest> requests(2);
   requests[0].method = "fo";
   requests[1].method = "no-such-method";
-  EXPECT_THROW((void)evaluate_many(sc, requests), std::invalid_argument);
+  ThreadPool pool(2);
+  EXPECT_THROW((void)evaluate_many(sc, requests, pool), std::invalid_argument);
 }
 
 TEST(EvaluateMany, EmptyBatchReturnsEmpty) {
   const Scenario sc = compile_fixture();
-  EXPECT_TRUE(evaluate_many(sc, {}).empty());
+  ThreadPool pool(2);
+  EXPECT_TRUE(evaluate_many(sc, {}, pool).empty());
 }
 
 TEST(EvaluateMany, ResultsIndexAlignedAndMatchSingleEvaluate) {
@@ -81,7 +85,8 @@ TEST(EvaluateMany, ResultsIndexAlignedAndMatchSingleEvaluate) {
     requests.push_back(req);
   }
 
-  const auto batch = evaluate_many(sc, requests, 3);
+  ThreadPool pool(3);
+  const auto batch = evaluate_many(sc, requests, pool);
   ASSERT_EQ(batch.size(), requests.size());
 
   const auto& reg = EvaluatorRegistry::builtin();
@@ -112,9 +117,11 @@ TEST(EvaluateMany, BitIdenticalForAnyThreadCount) {
     }
   }
 
-  const auto one = evaluate_many(sc, requests, 1);
+  ThreadPool pool1(1);
+  const auto one = evaluate_many(sc, requests, pool1);
   for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    const auto many = evaluate_many(sc, requests, threads);
+    ThreadPool pool(threads);
+    const auto many = evaluate_many(sc, requests, pool);
     ASSERT_EQ(many.size(), one.size()) << threads;
     for (std::size_t i = 0; i < one.size(); ++i) {
       expect_bit_identical(many[i], one[i],
@@ -132,7 +139,8 @@ TEST(EvaluateMany, DuplicateStochasticRequestsDecorrelate) {
     req.options.mc_trials = 500;
     req.options.seed = 7;
   }
-  const auto results = evaluate_many(sc, requests, 2);
+  ThreadPool pool(2);
+  const auto results = evaluate_many(sc, requests, pool);
   ASSERT_TRUE(results[0].supported);
   ASSERT_TRUE(results[1].supported);
   // Identical requests, different batch indices => different derived
@@ -152,7 +160,8 @@ TEST(EvaluateMany, CapabilityGatingStaysInsideTheBatch) {
   std::vector<EvalRequest> requests(2);
   requests[0].method = "dodin";  // two-state only: gated under geometric
   requests[1].method = "fo";
-  const auto results = evaluate_many(het_geo, requests, 2);
+  ThreadPool pool(2);
+  const auto results = evaluate_many(het_geo, requests, pool);
   EXPECT_FALSE(results[0].supported);
   EXPECT_NE(results[0].note.find("geometric retry model"), std::string::npos);
   EXPECT_TRUE(results[1].supported);

@@ -9,6 +9,9 @@
 #include "gen/random_dags.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::exact_geometric;
@@ -21,7 +24,8 @@ TEST(Exact, SingleTaskClosedForm) {
   g.add_task(2.0);
   const double lambda = 0.1;
   const double p = std::exp(-lambda * 2.0);
-  EXPECT_NEAR(exact_two_state(g, FailureModel{lambda}),
+  EXPECT_NEAR(exact_two_state(compile(g, FailureModel{lambda}),
+                              Workspace::local()),
               2.0 * p + 4.0 * (1.0 - p), 1e-14);
 }
 
@@ -32,8 +36,9 @@ TEST(Exact, ChainIsSumOfExpectations) {
   const double lambda = 0.2;
   const double p = std::exp(-lambda * 0.4);
   const double per_task = 0.4 * p + 0.8 * (1.0 - p);
-  EXPECT_NEAR(exact_two_state(g, FailureModel{lambda}), 5.0 * per_task,
-              1e-12);
+  EXPECT_NEAR(exact_two_state(compile(g, FailureModel{lambda}),
+                              Workspace::local()),
+              5.0 * per_task, 1e-12);
 }
 
 TEST(Exact, TwoIndependentTasksMaxFormula) {
@@ -47,19 +52,24 @@ TEST(Exact, TwoIndependentTasksMaxFormula) {
                         pa * (1 - pb) * std::max(1.0, 1.6) +
                         (1 - pa) * pb * std::max(2.0, 0.8) +
                         (1 - pa) * (1 - pb) * std::max(2.0, 1.6);
-  EXPECT_NEAR(exact_two_state(g, FailureModel{lambda}), expect, 1e-14);
+  EXPECT_NEAR(exact_two_state(compile(g, FailureModel{lambda}),
+                              Workspace::local()),
+              expect, 1e-14);
 }
 
 TEST(Exact, ZeroLambdaIsCriticalPath) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
-  EXPECT_DOUBLE_EQ(exact_two_state(g, FailureModel{0.0}), 8.0);
+  EXPECT_DOUBLE_EQ(exact_two_state(compile(g, FailureModel{0.0}),
+                                   Workspace::local()),
+                   8.0);
 }
 
 TEST(Exact, DistributionMatchesMeanAndMass) {
   const auto g = expmk::test::diamond(0.5, 0.25, 0.75, 0.5);
   const FailureModel m{0.2};
-  const auto dist = exact_two_state_distribution(g, m);
-  EXPECT_NEAR(dist.mean(), exact_two_state(g, m), 1e-12);
+  const auto sc = compile(g, m);
+  const auto dist = exact_two_state_distribution(sc);
+  EXPECT_NEAR(dist.mean(), exact_two_state(sc, Workspace::local()), 1e-12);
   double total = 0.0;
   for (const auto& at : dist.atoms()) total += at.prob;
   EXPECT_NEAR(total, 1.0, 1e-12);
@@ -70,7 +80,8 @@ TEST(Exact, DistributionMatchesMeanAndMass) {
 
 TEST(Exact, RejectsOversizedGraphs) {
   const auto g = expmk::gen::independent_tasks(30, 1);
-  EXPECT_THROW((void)exact_two_state(g, FailureModel{0.01}),
+  const auto sc = compile(g, FailureModel{0.01});
+  EXPECT_THROW((void)exact_two_state(sc, Workspace::local()),
                std::invalid_argument);
 }
 
@@ -78,16 +89,19 @@ TEST(Exact, GeometricReducesToTwoStateAtCapTwo) {
   const auto g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   const FailureModel m{0.1};
   // With max_executions = 2 the truncated geometric IS the 2-state law.
-  EXPECT_NEAR(exact_geometric(g, m, 2), exact_two_state(g, m), 1e-12);
+  const auto sc = compile(g, m);
+  EXPECT_NEAR(exact_geometric(sc, 2, Workspace::local()),
+              exact_two_state(sc, Workspace::local()), 1e-12);
 }
 
 TEST(Exact, GeometricIncreasesWithCapAndConverges) {
   const auto g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   const FailureModel m{0.8};  // large lambda so retries matter
-  const double e2 = exact_geometric(g, m, 2);
-  const double e3 = exact_geometric(g, m, 3);
-  const double e5 = exact_geometric(g, m, 5);
-  const double e7 = exact_geometric(g, m, 7);
+  const auto sc = compile(g, m);
+  const double e2 = exact_geometric(sc, 2, Workspace::local());
+  const double e3 = exact_geometric(sc, 3, Workspace::local());
+  const double e5 = exact_geometric(sc, 5, Workspace::local());
+  const double e7 = exact_geometric(sc, 7, Workspace::local());
   EXPECT_LT(e2, e3);
   EXPECT_LT(e3, e5);
   EXPECT_LE(e5, e7);
@@ -97,9 +111,10 @@ TEST(Exact, GeometricIncreasesWithCapAndConverges) {
 
 TEST(Exact, GeometricRejectsHugeStateSpaces) {
   const auto g = expmk::gen::independent_tasks(20, 2);
-  EXPECT_THROW((void)exact_geometric(g, FailureModel{0.1}, 8),
+  const auto sc = compile(g, FailureModel{0.1});
+  EXPECT_THROW((void)exact_geometric(sc, 8, Workspace::local()),
                std::invalid_argument);
-  EXPECT_THROW((void)exact_geometric(g, FailureModel{0.1}, 0),
+  EXPECT_THROW((void)exact_geometric(sc, 0, Workspace::local()),
                std::invalid_argument);
 }
 

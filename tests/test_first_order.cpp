@@ -17,6 +17,9 @@
 #include "graph/topological.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::exact_two_state;
@@ -26,7 +29,7 @@ using expmk::core::first_order_naive;
 
 TEST(FirstOrder, ZeroLambdaGivesCriticalPath) {
   const auto g = expmk::test::diamond(1.0, 2.0, 3.0, 4.0);
-  const auto r = first_order(g, FailureModel{0.0});
+  const auto r = first_order(compile(g, FailureModel{0.0}), Workspace::local());
   EXPECT_DOUBLE_EQ(r.expected_makespan(), 8.0);
   EXPECT_DOUBLE_EQ(r.correction, 0.0);
 }
@@ -36,7 +39,8 @@ TEST(FirstOrder, SingleTaskClosedForm) {
   expmk::graph::Dag g;
   g.add_task(2.0);
   const double lambda = 0.01;
-  const auto r = first_order(g, FailureModel{lambda});
+  const auto r =
+      first_order(compile(g, FailureModel{lambda}), Workspace::local());
   EXPECT_NEAR(r.expected_makespan(), 2.0 + lambda * 4.0, 1e-15);
 }
 
@@ -46,7 +50,8 @@ TEST(FirstOrder, ChainClosedForm) {
   const int n = 6;
   const double a = 0.5, lambda = 0.02;
   const auto g = expmk::gen::uniform_chain(n, a);
-  const auto r = first_order(g, FailureModel{lambda});
+  const auto r =
+      first_order(compile(g, FailureModel{lambda}), Workspace::local());
   EXPECT_NEAR(r.expected_makespan(), n * a + lambda * a * a * n, 1e-12);
 }
 
@@ -64,7 +69,8 @@ TEST(FirstOrder, ForkJoinOnlyCriticalBranchContributesFully) {
   g.add_edge(b1, j);
   g.add_edge(b2, j);
   const double lambda = 0.05;
-  const auto r = first_order(g, FailureModel{lambda});
+  const auto r =
+      first_order(compile(g, FailureModel{lambda}), Workspace::local());
   EXPECT_NEAR(r.expected_makespan(), 2.0 + lambda * 4.0, 1e-12);
 }
 
@@ -76,7 +82,8 @@ TEST(FirstOrder, NearCriticalBranchContributesPartially) {
   (void)b1;
   (void)b2;
   const double lambda = 0.03;
-  const auto r = first_order(g, FailureModel{lambda});
+  const auto r =
+      first_order(compile(g, FailureModel{lambda}), Workspace::local());
   // FO = 2 + lambda (2 * 2 + 1.5 * 1).
   EXPECT_NEAR(r.expected_makespan(), 2.0 + lambda * 5.5, 1e-12);
 }
@@ -85,7 +92,8 @@ TEST(FirstOrder, MonotoneInLambdaAndAboveCriticalPath) {
   const auto g = expmk::gen::cholesky_dag(5);
   double prev = expmk::graph::critical_path_length(g);
   for (const double lambda : {0.001, 0.01, 0.1, 1.0}) {
-    const auto r = first_order(g, FailureModel{lambda});
+    const auto r =
+        first_order(compile(g, FailureModel{lambda}), Workspace::local());
     EXPECT_GE(r.expected_makespan(), prev - 1e-12);
     prev = r.expected_makespan();
   }
@@ -102,7 +110,8 @@ TEST_P(FirstOrderEquivalenceSweep, ClosedFormMatchesNaive) {
        {expmk::gen::erdos_dag(40, 0.15, seed),
         expmk::gen::layered_random(6, 5, 0.4, seed),
         expmk::gen::random_series_parallel(30, seed)}) {
-    const double closed = first_order(g, m).expected_makespan();
+    const double closed =
+        first_order(compile(g, m), Workspace::local()).expected_makespan();
     const double naive = first_order_naive(g, m);
     EXPECT_NEAR(closed, naive, 1e-10 * std::max(1.0, naive));
   }
@@ -117,7 +126,8 @@ TEST(FirstOrder, ClosedFormMatchesNaiveOnFactorizations) {
   for (const auto& g :
        {expmk::gen::cholesky_dag(6), expmk::gen::lu_dag(5),
         expmk::gen::qr_dag(5)}) {
-    EXPECT_NEAR(first_order(g, m).expected_makespan(),
+    EXPECT_NEAR(first_order(compile(g, m),
+                            Workspace::local()).expected_makespan(),
                 first_order_naive(g, m), 1e-9);
   }
 }
@@ -127,12 +137,14 @@ TEST(FirstOrder, ClosedFormMatchesNaiveOnFactorizations) {
 TEST(FirstOrder, ErrorIsSecondOrderInLambda) {
   const auto g = expmk::gen::erdos_dag(12, 0.3, 99);
   const double l1 = 0.08, l2 = 0.04;
+  const auto sc1 = compile(g, FailureModel{l1});
+  const auto sc2 = compile(g, FailureModel{l2});
   const double e1 =
-      std::fabs(first_order(g, FailureModel{l1}).expected_makespan() -
-                exact_two_state(g, FailureModel{l1}));
+      std::fabs(first_order(sc1, Workspace::local()).expected_makespan() -
+                exact_two_state(sc1, Workspace::local()));
   const double e2 =
-      std::fabs(first_order(g, FailureModel{l2}).expected_makespan() -
-                exact_two_state(g, FailureModel{l2}));
+      std::fabs(first_order(sc2, Workspace::local()).expected_makespan() -
+                exact_two_state(sc2, Workspace::local()));
   ASSERT_GT(e1, 0.0);
   ASSERT_GT(e2, 0.0);
   const double ratio = e1 / e2;
@@ -143,8 +155,9 @@ TEST(FirstOrder, ErrorIsSecondOrderInLambda) {
 TEST(FirstOrder, TinyLambdaNearExact) {
   const auto g = expmk::test::diamond(0.1, 0.2, 0.3, 0.1);
   const FailureModel m{1e-5};
-  const double fo = first_order(g, m).expected_makespan();
-  const double exact = exact_two_state(g, m);
+  const auto sc = compile(g, m);
+  const double fo = first_order(sc, Workspace::local()).expected_makespan();
+  const double exact = exact_two_state(sc, Workspace::local());
   EXPECT_NEAR(fo, exact, 1e-9);
 }
 
@@ -153,16 +166,8 @@ TEST(FirstOrder, ZeroWeightTasksContributeNothing) {
   const auto a = g.add_task(0.0);
   const auto b = g.add_task(1.0);
   g.add_edge(a, b);
-  const auto r = first_order(g, FailureModel{0.1});
+  const auto r = first_order(compile(g, FailureModel{0.1}), Workspace::local());
   EXPECT_NEAR(r.expected_makespan(), 1.0 + 0.1 * 1.0, 1e-12);
-}
-
-TEST(FirstOrder, AgreesWithSuppliedTopoOrder) {
-  const auto g = expmk::gen::lu_dag(4);
-  const auto topo = expmk::graph::topological_order(g);
-  const FailureModel m{0.02};
-  EXPECT_DOUBLE_EQ(first_order(g, m).expected_makespan(),
-                   first_order(g, m, topo).expected_makespan());
 }
 
 }  // namespace

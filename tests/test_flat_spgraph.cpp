@@ -31,6 +31,7 @@
 #include "spgraph/sp_reduce.hpp"
 #include "test_helpers.hpp"
 
+
 namespace {
 
 using expmk::core::calibrate;
@@ -184,21 +185,6 @@ TEST(FlatDodinFidelity, BitIdenticalToObjectTransformation) {
   }
 }
 
-// The legacy uniform Dag entry point (dodin_two_state(g, model)) computes
-// its p_success table independently; the scenario cache must reproduce it
-// bitwise end to end.
-TEST(FlatDodinFidelity, UniformScenarioMatchesLegacyDagEntryPoint) {
-  const Dag g = expmk::gen::erdos_dag(12, 0.25, 11);
-  const auto model = calibrate(g, 0.02);
-  const Scenario sc = Scenario::compile(g, FailureSpec(model));
-  const expmk::sp::DodinOptions opts{.max_atoms = 32};
-  const auto legacy = expmk::sp::dodin_two_state(g, model, opts);
-  const auto scenario_based = expmk::sp::dodin_two_state(sc, opts);
-  EXPECT_EQ(scenario_based.expected_makespan(), legacy.expected_makespan());
-  EXPECT_EQ(scenario_based.duplications, legacy.duplications);
-  EXPECT_EQ(scenario_based.truncation.events, legacy.truncation.events);
-}
-
 // ------------------------------------------------- certified intervals
 
 // sp on SP graphs: the untruncated reduction IS the exact oracle, so the
@@ -215,7 +201,8 @@ TEST(CertifiedTruncation, SpEnvelopeContainsExactMean) {
             het ? Scenario::compile(g, FailureSpec::per_task(
                                            spread_rates(g, pfail)))
                 : Scenario::compile(g, FailureSpec(calibrate(g, pfail)));
-        const double exact = expmk::core::exact_two_state(sc);
+        const double exact =
+            expmk::core::exact_two_state(sc, Workspace::local());
         for (const std::size_t budget : {std::size_t{2}, std::size_t{4},
                                          std::size_t{8}}) {
           EvalOptions opt;
@@ -295,9 +282,11 @@ TEST(HeterogeneousDodin, ExactOnSpGraphsUnderPerTaskRates) {
     const Dag g = expmk::gen::random_series_parallel(10, seed);
     const Scenario sc = Scenario::compile(
         g, FailureSpec::per_task(spread_rates(g, 0.05)));
-    const auto r = expmk::sp::dodin_two_state(sc, {.max_atoms = 0});
+    const auto r =
+        expmk::sp::dodin_two_state(sc, {.max_atoms = 0}, Workspace::local());
     EXPECT_EQ(r.duplications, 0u) << seed;
-    EXPECT_NEAR(r.expected_makespan(), expmk::core::exact_two_state(sc),
+    EXPECT_NEAR(r.expected_makespan(),
+                expmk::core::exact_two_state(sc, Workspace::local()),
                 1e-10)
         << seed;
   }

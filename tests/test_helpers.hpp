@@ -1,7 +1,7 @@
 // tests/test_helpers.hpp
 //
-// Small fixture graphs and brute-force reference computations shared by
-// the test suite.
+// Small fixture graphs, brute-force reference computations and the
+// scenario-compile helper shared by the test suite.
 
 #pragma once
 
@@ -10,9 +10,11 @@
 #include <functional>
 #include <vector>
 
+#include "core/failure_model.hpp"
 #include "graph/dag.hpp"
 #include "graph/longest_path.hpp"
 #include "graph/topological.hpp"
+#include "scenario/scenario.hpp"
 
 namespace expmk::test {
 
@@ -60,6 +62,14 @@ inline double brute_force_longest_path(const graph::Dag& g,
       };
   for (const graph::TaskId e : g.entry_tasks()) dfs(e, 0.0);
   return best;
+}
+
+/// Compiles the uniform-rate scenario every estimator takes — the suite's
+/// one spelling of "this DAG under this failure model".
+inline scenario::Scenario compile(
+    const graph::Dag& g, const core::FailureModel& model,
+    core::RetryModel retry = core::RetryModel::TwoState) {
+  return scenario::Scenario::compile(g, model, retry);
 }
 
 /// |x - y| <= tol * max(1, |x|, |y|).

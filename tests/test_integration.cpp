@@ -16,6 +16,10 @@
 #include "mc/engine.hpp"
 #include "normal/sculli.hpp"
 #include "spgraph/dodin.hpp"
+#include "test_helpers.hpp"
+
+using expmk::exp::Workspace;
+using expmk::test::compile;
 
 namespace {
 
@@ -39,16 +43,22 @@ MethodErrors run_pipeline(const expmk::graph::Dag& g, double pfail,
   cfg.trials = trials;
   cfg.seed = 2016;
   cfg.control_variate = true;  // tighter ground truth per trial
-  const auto mc = run_monte_carlo(g, m, cfg);
+  // MC reproduces the paper's geometric simulator; the analytic methods
+  // run on the two-state laws.
+  const auto mc =
+      run_monte_carlo(compile(g, m, expmk::core::RetryModel::Geometric), cfg);
 
-  const double fo = first_order(g, m).expected_makespan();
+  const auto sc = compile(g, m);
+  const double fo = first_order(sc, Workspace::local()).expected_makespan();
   const double dod =
-      expmk::sp::dodin_two_state(g, m, {.max_atoms = 128}).expected_makespan();
-  const double sc = expmk::normal::sculli(g, m).expected_makespan();
+      expmk::sp::dodin_two_state(sc, {.max_atoms = 128}, Workspace::local())
+          .expected_makespan();
+  const double sculli =
+      expmk::normal::sculli(sc, Workspace::local()).expected_makespan();
   const auto rel = [&](double est) {
     return std::fabs(est - mc.mean) / mc.mean;
   };
-  return {rel(fo), rel(dod), rel(sc), mc.mean};
+  return {rel(fo), rel(dod), rel(sculli), mc.mean};
 }
 
 TEST(Integration, CholeskyLowPfailFirstOrderWins) {
@@ -100,12 +110,11 @@ TEST(Integration, SecondOrderRefinesFirstOrderAtHighPfail) {
   McConfig cfg;
   cfg.trials = 400'000;
   cfg.seed = 99;
-  cfg.retry = expmk::core::RetryModel::TwoState;
-  const auto mc = run_monte_carlo(g, m, cfg);
-  const double fo = first_order(g, m).expected_makespan();
+  const auto sc = compile(g, m, expmk::core::RetryModel::TwoState);
+  const auto mc = run_monte_carlo(sc, cfg);
+  const double fo = first_order(sc, Workspace::local()).expected_makespan();
   const double so =
-      expmk::core::second_order(g, m, expmk::core::RetryModel::TwoState)
-          .expected_makespan;
+      expmk::core::second_order(sc, Workspace::local()).expected_makespan;
   EXPECT_LT(std::fabs(so - mc.mean), std::fabs(fo - mc.mean));
 }
 
@@ -113,9 +122,12 @@ TEST(Integration, AllEstimatesAboveFailureFreeMakespan) {
   const auto g = expmk::gen::lu_dag(4);
   const FailureModel m = calibrate(g, 0.01);
   const double d = expmk::graph::critical_path_length(g);
-  EXPECT_GE(first_order(g, m).expected_makespan(), d);
-  EXPECT_GE(expmk::normal::sculli(g, m).expected_makespan(), d * 0.999);
-  EXPECT_GE(expmk::sp::dodin_two_state(g, m, {.max_atoms = 128})
+  const auto sc = compile(g, m);
+  EXPECT_GE(first_order(sc, Workspace::local()).expected_makespan(), d);
+  EXPECT_GE(expmk::normal::sculli(sc, Workspace::local()).expected_makespan(),
+            d * 0.999);
+  EXPECT_GE(expmk::sp::dodin_two_state(sc, {.max_atoms = 128},
+                                       Workspace::local())
                 .expected_makespan(),
             d * 0.999);
 }

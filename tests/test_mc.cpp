@@ -15,6 +15,9 @@
 #include "mc/engine.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::exact_geometric;
@@ -30,7 +33,8 @@ TEST(MonteCarlo, ZeroTrialsThrowsInsteadOfClamping) {
   const auto g = expmk::test::diamond();
   McConfig cfg;
   cfg.trials = 0;
-  EXPECT_THROW((void)run_monte_carlo(g, FailureModel{0.1}, cfg),
+  const auto sc = compile(g, FailureModel{0.1}, RetryModel::Geometric);
+  EXPECT_THROW((void)run_monte_carlo(sc, cfg),
                std::invalid_argument);
 }
 
@@ -40,8 +44,9 @@ TEST(MonteCarlo, DeterministicForFixedSeed) {
   McConfig cfg;
   cfg.trials = 5000;
   cfg.seed = 7;
-  const auto r1 = run_monte_carlo(g, m, cfg);
-  const auto r2 = run_monte_carlo(g, m, cfg);
+  const auto sc = compile(g, m, RetryModel::Geometric);
+  const auto r1 = run_monte_carlo(sc, cfg);
+  const auto r2 = run_monte_carlo(sc, cfg);
   EXPECT_DOUBLE_EQ(r1.mean, r2.mean);
   EXPECT_DOUBLE_EQ(r1.variance, r2.variance);
 }
@@ -53,9 +58,10 @@ TEST(MonteCarlo, ThreadCountDoesNotChangeEstimate) {
   cfg.trials = 4000;
   cfg.seed = 11;
   cfg.threads = 1;
-  const auto serial = run_monte_carlo(g, m, cfg);
+  const auto sc = compile(g, m, RetryModel::Geometric);
+  const auto serial = run_monte_carlo(sc, cfg);
   cfg.threads = 4;
-  const auto parallel = run_monte_carlo(g, m, cfg);
+  const auto parallel = run_monte_carlo(sc, cfg);
   // Per-trial counter-based streams: identical samples, so identical
   // means up to summation order (Welford merge is exact per partition;
   // partitions differ, so allow only float-noise).
@@ -68,9 +74,8 @@ TEST(MonteCarlo, ConvergesToExactTwoState) {
   const FailureModel m{0.2};
   McConfig cfg;
   cfg.trials = 200'000;
-  cfg.retry = RetryModel::TwoState;
-  const auto r = run_monte_carlo(g, m, cfg);
-  const double exact = exact_two_state(g, m);
+  const auto r = run_monte_carlo(compile(g, m, RetryModel::TwoState), cfg);
+  const double exact = exact_two_state(compile(g, m), Workspace::local());
   EXPECT_NEAR(r.mean, exact, 4.0 * r.ci95_half_width + 1e-9)
       << "mean=" << r.mean << " exact=" << exact;
 }
@@ -80,9 +85,8 @@ TEST(MonteCarlo, ConvergesToExactGeometric) {
   const FailureModel m{0.4};
   McConfig cfg;
   cfg.trials = 200'000;
-  cfg.retry = RetryModel::Geometric;
-  const auto r = run_monte_carlo(g, m, cfg);
-  const double exact = exact_geometric(g, m, 12);
+  const auto r = run_monte_carlo(compile(g, m, RetryModel::Geometric), cfg);
+  const double exact = exact_geometric(compile(g, m), 12, Workspace::local());
   EXPECT_NEAR(r.mean, exact, 4.0 * r.ci95_half_width + 1e-6);
 }
 
@@ -90,7 +94,8 @@ TEST(MonteCarlo, ZeroLambdaIsDeterministic) {
   const auto g = expmk::gen::cholesky_dag(3);
   McConfig cfg;
   cfg.trials = 100;
-  const auto r = run_monte_carlo(g, FailureModel{0.0}, cfg);
+  const auto sc = compile(g, FailureModel{0.0}, RetryModel::Geometric);
+  const auto r = run_monte_carlo(sc, cfg);
   EXPECT_DOUBLE_EQ(r.variance, 0.0);
   EXPECT_DOUBLE_EQ(r.min, r.max);
 }
@@ -100,10 +105,8 @@ TEST(MonteCarlo, GeometricMeanExceedsTwoState) {
   const FailureModel m{1.0};  // huge rate: retries matter
   McConfig cfg;
   cfg.trials = 50'000;
-  cfg.retry = RetryModel::TwoState;
-  const auto ts = run_monte_carlo(g, m, cfg);
-  cfg.retry = RetryModel::Geometric;
-  const auto geo = run_monte_carlo(g, m, cfg);
+  const auto ts = run_monte_carlo(compile(g, m, RetryModel::TwoState), cfg);
+  const auto geo = run_monte_carlo(compile(g, m, RetryModel::Geometric), cfg);
   EXPECT_GT(geo.mean, ts.mean);
 }
 
@@ -113,8 +116,9 @@ TEST(MonteCarlo, CiShrinksWithTrials) {
   McConfig small, large;
   small.trials = 2000;
   large.trials = 32000;
-  const auto rs = run_monte_carlo(g, m, small);
-  const auto rl = run_monte_carlo(g, m, large);
+  const auto sc = compile(g, m, RetryModel::Geometric);
+  const auto rs = run_monte_carlo(sc, small);
+  const auto rl = run_monte_carlo(sc, large);
   EXPECT_GT(rs.ci95_half_width, rl.ci95_half_width);
   EXPECT_GT(rl.ci99_half_width, rl.ci95_half_width);
 }
@@ -124,7 +128,7 @@ TEST(MonteCarlo, MeanBracketsAreSane) {
   const FailureModel m = expmk::core::calibrate(g, 0.01);
   McConfig cfg;
   cfg.trials = 20'000;
-  const auto r = run_monte_carlo(g, m, cfg);
+  const auto r = run_monte_carlo(compile(g, m, RetryModel::Geometric), cfg);
   const double d = expmk::graph::critical_path_length(g);
   EXPECT_GE(r.min, d - 1e-9);  // every trial at least the failure-free CP
   EXPECT_GE(r.mean, d);
@@ -138,8 +142,9 @@ TEST(MonteCarlo, ControlVariateIsUnbiasedAndTighter) {
   McConfig plain, cv;
   plain.trials = cv.trials = 100'000;
   cv.control_variate = true;
-  const auto rp = run_monte_carlo(g, m, plain);
-  const auto rc = run_monte_carlo(g, m, cv);
+  const auto sc = compile(g, m, RetryModel::Geometric);
+  const auto rp = run_monte_carlo(sc, plain);
+  const auto rc = run_monte_carlo(sc, cv);
   // Same trials & seed: CV must agree within the (tight) CI and reduce
   // variance.
   EXPECT_NEAR(rc.mean, rp.mean, 4.0 * rp.ci95_half_width);
@@ -153,7 +158,8 @@ TEST(MonteCarlo, CapturesSamplesOnRequest) {
   McConfig cfg;
   cfg.trials = 1000;
   cfg.capture_samples = true;
-  const auto r = run_monte_carlo(g, FailureModel{0.2}, cfg);
+  const auto sc = compile(g, FailureModel{0.2}, RetryModel::Geometric);
+  const auto r = run_monte_carlo(sc, cfg);
   ASSERT_EQ(r.samples.size(), 1000u);
   double mean = 0.0;
   for (const double s : r.samples) mean += s;
@@ -165,7 +171,8 @@ TEST(MonteCarlo, RecordsTiming) {
   const auto g = expmk::test::diamond();
   McConfig cfg;
   cfg.trials = 1000;
-  const auto r = run_monte_carlo(g, FailureModel{0.1}, cfg);
+  const auto sc = compile(g, FailureModel{0.1}, RetryModel::Geometric);
+  const auto r = run_monte_carlo(sc, cfg);
   EXPECT_GE(r.seconds, 0.0);
   EXPECT_EQ(r.trials, 1000u);
 }

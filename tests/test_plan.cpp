@@ -26,6 +26,9 @@
 #include "gen/random_dags.hpp"
 #include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
+#include "util/thread_pool.hpp"
+
+using expmk::test::compile;
 
 namespace {
 
@@ -236,7 +239,8 @@ TEST(PlanEvaluateMany, PlannedBatchBitIdenticalAcrossThreadCounts) {
     requests.push_back(req);
   }
 
-  const auto one = evaluate_many(sc, requests, 1);
+  expmk::util::ThreadPool pool1(1);
+  const auto one = evaluate_many(sc, requests, pool1);
   ASSERT_EQ(one.size(), requests.size());
   for (std::size_t i = 0; i + 1 < requests.size(); ++i) {
     EXPECT_NE(one[i].note.find("planned: "), std::string::npos) << i;
@@ -244,7 +248,8 @@ TEST(PlanEvaluateMany, PlannedBatchBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one.back().note.find("planned: "), std::string::npos);
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    const auto many = evaluate_many(sc, requests, threads);
+    expmk::util::ThreadPool pool(threads);
+    const auto many = evaluate_many(sc, requests, pool);
     ASSERT_EQ(many.size(), one.size());
     for (std::size_t i = 0; i < one.size(); ++i) {
       const std::string where =

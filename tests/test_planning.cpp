@@ -11,6 +11,9 @@
 #include "graph/longest_path.hpp"
 #include "mc/engine.hpp"
 #include "mc/planning.hpp"
+#include "test_helpers.hpp"
+
+using expmk::test::compile;
 
 namespace {
 
@@ -75,7 +78,8 @@ TEST(Planning, PlannedTrialsAchieveTargetOnRealDag) {
   expmk::mc::McConfig pilot_cfg;
   pilot_cfg.trials = 2000;
   pilot_cfg.seed = 1;
-  const auto pilot = expmk::mc::run_monte_carlo(g, model, pilot_cfg);
+  const auto sc = compile(g, model, expmk::core::RetryModel::Geometric);
+  const auto pilot = expmk::mc::run_monte_carlo(sc, pilot_cfg);
   expmk::prob::RunningStats pilot_stats;
   // Reconstruct a stats object from the result (mean/stddev is all the
   // planner needs; feed two synthetic points with the right stddev).
@@ -89,7 +93,7 @@ TEST(Planning, PlannedTrialsAchieveTargetOnRealDag) {
   expmk::mc::McConfig main_cfg;
   main_cfg.trials = planned;
   main_cfg.seed = 99;
-  const auto run = expmk::mc::run_monte_carlo(g, model, main_cfg);
+  const auto run = expmk::mc::run_monte_carlo(sc, main_cfg);
   // The achieved CI half-width should be near (within 2x of) the target.
   EXPECT_LT(run.ci95_half_width, 2.0 * rel * run.mean);
 }
@@ -100,10 +104,9 @@ TEST(Planning, PilotPlanIsDeterministicAndConsistent) {
   expmk::mc::McConfig pilot_cfg;
   pilot_cfg.trials = 1500;
   pilot_cfg.seed = 5;
-  const auto plan_a =
-      expmk::mc::plan_with_pilot(g, model, 0.001, 0.95, pilot_cfg);
-  const auto plan_b =
-      expmk::mc::plan_with_pilot(g, model, 0.001, 0.95, pilot_cfg);
+  const auto sc = compile(g, model, expmk::core::RetryModel::Geometric);
+  const auto plan_a = expmk::mc::plan_with_pilot(sc, 0.001, 0.95, pilot_cfg);
+  const auto plan_b = expmk::mc::plan_with_pilot(sc, 0.001, 0.95, pilot_cfg);
   // Pilot rides the deterministic CSR engine: identical plans.
   EXPECT_EQ(plan_a.pilot.mean, plan_b.pilot.mean);
   EXPECT_EQ(plan_a.planned_trials, plan_b.planned_trials);
@@ -112,8 +115,7 @@ TEST(Planning, PilotPlanIsDeterministicAndConsistent) {
             clt_trials(std::sqrt(plan_a.pilot.variance),
                        0.001 * plan_a.pilot.mean, 0.95));
   // Tighter targets require more trials.
-  const auto tighter =
-      expmk::mc::plan_with_pilot(g, model, 0.0005, 0.95, pilot_cfg);
+  const auto tighter = expmk::mc::plan_with_pilot(sc, 0.0005, 0.95, pilot_cfg);
   EXPECT_GT(tighter.planned_trials, plan_a.planned_trials);
 }
 

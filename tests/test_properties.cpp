@@ -28,6 +28,9 @@
 #include "spgraph/sp_reduce.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using D = expmk::prob::DiscreteDistribution;
@@ -151,8 +154,10 @@ class EstimatorInvariants
 TEST_P(EstimatorInvariants, FirstOrderSandwichedByBounds) {
   const auto g = make();
   const FailureModel m = expmk::core::calibrate(g, 0.001);
-  const auto b = expmk::core::makespan_bounds(g, m);
-  const double fo = expmk::core::first_order(g, m).expected_makespan();
+  const auto sc = compile(g, m);
+  const auto b = expmk::core::makespan_bounds(sc, Workspace::local());
+  const double fo =
+      expmk::core::first_order(sc, Workspace::local()).expected_makespan();
   EXPECT_GE(fo, b.failure_free - 1e-12);
   EXPECT_LE(fo, b.level_upper * (1.0 + 1e-6));
 }
@@ -160,20 +165,23 @@ TEST_P(EstimatorInvariants, FirstOrderSandwichedByBounds) {
 TEST_P(EstimatorInvariants, ClosedFormEqualsNaiveEverywhere) {
   const auto g = make();
   const FailureModel m{0.03};
-  EXPECT_NEAR(expmk::core::first_order(g, m).expected_makespan(),
-              expmk::core::first_order_naive(g, m), 1e-9);
+  const auto fo = expmk::core::first_order(compile(g, m), Workspace::local());
+  EXPECT_NEAR(fo.expected_makespan(), expmk::core::first_order_naive(g, m),
+              1e-9);
 }
 
 TEST_P(EstimatorInvariants, SecondOrderReducesToFirstOrderAsLambdaShrinks) {
   const auto g = make();
   // (SO - FO) is O(lambda^2): quartering lambda shrinks it ~16x.
   const FailureModel m1{0.04}, m2{0.01};
-  const double gap1 =
-      std::fabs(expmk::core::second_order(g, m1).expected_makespan -
-                expmk::core::first_order(g, m1).expected_makespan());
-  const double gap2 =
-      std::fabs(expmk::core::second_order(g, m2).expected_makespan -
-                expmk::core::first_order(g, m2).expected_makespan());
+  const auto gap = [&](const FailureModel& m) {
+    const auto sc = compile(g, m);
+    return std::fabs(
+        expmk::core::second_order(sc, Workspace::local()).expected_makespan -
+        expmk::core::first_order(sc, Workspace::local()).expected_makespan());
+  };
+  const double gap1 = gap(m1);
+  const double gap2 = gap(m2);
   if (gap1 > 1e-12 && gap2 > 1e-13) {
     EXPECT_GT(gap1 / gap2, 8.0);
   }
@@ -185,18 +193,21 @@ TEST_P(EstimatorInvariants, SerializationDoesNotChangeEstimates) {
       expmk::graph::taskgraph_from_string(expmk::graph::to_taskgraph(g));
   const FailureModel m{0.02};
   // First order is order-independent: bit-exact across the round trip.
+  const auto sc = compile(g, m);
+  const auto sc_rt = compile(round_tripped, m);
   EXPECT_DOUBLE_EQ(
-      expmk::core::first_order(g, m).expected_makespan(),
-      expmk::core::first_order(round_tripped, m).expected_makespan());
+      expmk::core::first_order(sc, Workspace::local()).expected_makespan(),
+      expmk::core::first_order(sc_rt, Workspace::local()).expected_makespan());
   // Sculli folds predecessors pairwise with Clark's formulas, which are
   // NOT associative; serialization canonicalizes edge order (grouped by
   // source), so the fold order may differ and the estimate moves at the
   // 1e-7..1e-4 level (a documented property of Sculli's method — Canon &
   // Jeannot discuss the same sensitivity). Assert closeness, not
   // identity.
-  const double s1 = expmk::normal::sculli(g, m).expected_makespan();
+  const double s1 =
+      expmk::normal::sculli(sc, Workspace::local()).expected_makespan();
   const double s2 =
-      expmk::normal::sculli(round_tripped, m).expected_makespan();
+      expmk::normal::sculli(sc_rt, Workspace::local()).expected_makespan();
   EXPECT_NEAR(s1, s2, 1e-4 * s1);
 }
 
@@ -204,14 +215,13 @@ TEST_P(EstimatorInvariants, AllEstimatorsAgreeAtLambdaZero) {
   const auto g = make();
   const FailureModel zero{0.0};
   const double d = expmk::graph::critical_path_length(g);
-  EXPECT_NEAR(expmk::core::first_order(g, zero).expected_makespan(), d,
-              1e-9);
-  EXPECT_NEAR(expmk::core::second_order(g, zero).expected_makespan, d,
-              1e-9);
-  EXPECT_NEAR(expmk::normal::sculli(g, zero).expected_makespan(), d, 1e-9);
+  const auto sc = compile(g, zero);
+  auto& ws = Workspace::local();
+  EXPECT_NEAR(expmk::core::first_order(sc, ws).expected_makespan(), d, 1e-9);
+  EXPECT_NEAR(expmk::core::second_order(sc, ws).expected_makespan, d, 1e-9);
+  EXPECT_NEAR(expmk::normal::sculli(sc, ws).expected_makespan(), d, 1e-9);
   EXPECT_NEAR(
-      expmk::sp::dodin_two_state(g, zero, {.max_atoms = 64})
-          .expected_makespan(),
+      expmk::sp::dodin_two_state(sc, {.max_atoms = 64}, ws).expected_makespan(),
       d, 1e-9);
 }
 
@@ -220,9 +230,10 @@ TEST_P(EstimatorInvariants, McAgreesWithFirstOrderAtLowLambda) {
   const FailureModel m = expmk::core::calibrate(g, 0.0005);
   expmk::mc::McConfig cfg;
   cfg.trials = 40'000;
-  cfg.retry = expmk::core::RetryModel::TwoState;
-  const auto mc = expmk::mc::run_monte_carlo(g, m, cfg);
-  const double fo = expmk::core::first_order(g, m).expected_makespan();
+  const auto sc = compile(g, m, expmk::core::RetryModel::TwoState);
+  const auto mc = expmk::mc::run_monte_carlo(sc, cfg);
+  const double fo =
+      expmk::core::first_order(sc, Workspace::local()).expected_makespan();
   // FO error is O(lambda^2) ~ 1e-6 relative here; the MC CI dominates.
   EXPECT_NEAR(fo, mc.mean, 5.0 * mc.ci95_half_width + 1e-6 * mc.mean);
 }
@@ -239,9 +250,15 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Properties, FirstOrderIsLinearInLambda) {
   // FO(lambda) = d + lambda * C exactly (the correction is linear).
   const auto g = expmk::gen::qr_dag(4);
-  const auto f1 = expmk::core::first_order(g, FailureModel{0.01});
-  const auto f2 = expmk::core::first_order(g, FailureModel{0.02});
-  const auto f3 = expmk::core::first_order(g, FailureModel{0.03});
+  const auto f1 =
+      expmk::core::first_order(compile(g, FailureModel{0.01}),
+                               Workspace::local());
+  const auto f2 =
+      expmk::core::first_order(compile(g, FailureModel{0.02}),
+                               Workspace::local());
+  const auto f3 =
+      expmk::core::first_order(compile(g, FailureModel{0.03}),
+                               Workspace::local());
   const double d1 = f2.expected_makespan() - f1.expected_makespan();
   const double d2 = f3.expected_makespan() - f2.expected_makespan();
   EXPECT_NEAR(d1, d2, 1e-12);
@@ -257,11 +274,13 @@ TEST(Properties, ScalingWeightsScalesEstimatesWithRescaledLambda) {
     scaled.set_weight(i, c * g.weight(i));
   }
   const double lambda = 0.05;
-  const double fo = expmk::core::first_order(g, FailureModel{lambda})
-                        .expected_makespan();
+  const auto sc = compile(g, FailureModel{lambda});
+  const auto sc_scaled = compile(scaled, FailureModel{lambda / c});
+  const double fo =
+      expmk::core::first_order(sc, Workspace::local()).expected_makespan();
   const double fo_scaled =
-      expmk::core::first_order(scaled, FailureModel{lambda / c})
-          .expected_makespan();
+      expmk::core::first_order(sc_scaled,
+                               Workspace::local()).expected_makespan();
   EXPECT_NEAR(fo_scaled, c * fo, 1e-9);
 }
 
@@ -278,7 +297,8 @@ TEST(Properties, DodinExactEqualsSpEvaluationOnSpGraphs) {
     const auto sp_eval = expmk::sp::evaluate_sp(
         expmk::sp::ArcNetwork::from_dag(g, std::move(dists)));
     ASSERT_TRUE(sp_eval.is_series_parallel);
-    const auto dodin = expmk::sp::dodin_two_state(g, m, {.max_atoms = 0});
+    const auto dodin = expmk::sp::dodin_two_state(
+        compile(g, m), {.max_atoms = 0}, Workspace::local());
     EXPECT_NEAR(dodin.expected_makespan(), sp_eval.makespan.mean(), 1e-10);
   }
 }
@@ -297,14 +317,17 @@ TEST(Properties, AddingAnEdgeNeverShrinksTheExpectedMakespan) {
     if (u == v || rank[u] >= rank[v]) continue;
     const auto succ = g.successors(u);
     if (std::find(succ.begin(), succ.end(), v) != succ.end()) continue;
-    const double before_exact = expmk::core::exact_two_state(g, m);
-    const double before_fo =
-        expmk::core::first_order(g, m).expected_makespan();
+    const auto before = compile(g, m);
     g.add_edge(u, v);
     ++added;
-    EXPECT_GE(expmk::core::exact_two_state(g, m), before_exact - 1e-12);
-    EXPECT_GE(expmk::core::first_order(g, m).expected_makespan(),
-              before_fo - 1e-12);
+    const auto after = compile(g, m);
+    EXPECT_GE(expmk::core::exact_two_state(after, Workspace::local()),
+              expmk::core::exact_two_state(before, Workspace::local()) - 1e-12);
+    EXPECT_GE(
+        expmk::core::first_order(after, Workspace::local()).expected_makespan(),
+        expmk::core::first_order(before,
+                                 Workspace::local()).expected_makespan() -
+            1e-12);
   }
 }
 
@@ -312,7 +335,8 @@ TEST(Properties, TwoStateExactIsMonotoneInLambda) {
   const auto g = expmk::test::diamond(0.4, 0.3, 0.5, 0.2);
   double prev = 0.0;
   for (const double lambda : {0.0, 0.05, 0.1, 0.2, 0.4, 0.8}) {
-    const double e = expmk::core::exact_two_state(g, FailureModel{lambda});
+    const auto sc = compile(g, FailureModel{lambda});
+    const double e = expmk::core::exact_two_state(sc, Workspace::local());
     EXPECT_GE(e, prev - 1e-12) << lambda;
     prev = e;
   }
@@ -326,8 +350,11 @@ TEST(Properties, QrAlwaysCostsMoreThanLuSameSize) {
     const auto qr = expmk::gen::qr_dag(k);
     const FailureModel mlu = expmk::core::calibrate(lu, 0.01);
     const FailureModel mqr = expmk::core::calibrate(qr, 0.01);
-    EXPECT_GT(expmk::core::first_order(qr, mqr).expected_makespan(),
-              expmk::core::first_order(lu, mlu).expected_makespan());
+    const auto fo_qr =
+        expmk::core::first_order(compile(qr, mqr), Workspace::local());
+    const auto fo_lu =
+        expmk::core::first_order(compile(lu, mlu), Workspace::local());
+    EXPECT_GT(fo_qr.expected_makespan(), fo_lu.expected_makespan());
   }
 }
 

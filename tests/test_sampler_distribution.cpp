@@ -14,6 +14,9 @@
 #include "mc/trial.hpp"
 #include "prob/discrete_distribution.hpp"
 #include "prob/rng.hpp"
+#include "test_helpers.hpp"
+
+using expmk::test::compile;
 
 namespace {
 
@@ -28,7 +31,8 @@ std::map<double, double> empirical_law(double weight, double lambda,
                                        RetryModel retry, int n) {
   expmk::graph::Dag g;
   g.add_task(weight);
-  const TrialContext ctx(g, FailureModel{lambda}, retry);
+  const auto sc = compile(g, FailureModel{lambda}, retry);
+  const TrialContext ctx(sc);
   std::map<double, int> counts;
   std::vector<double> durations(g.task_count());
   for (int t = 0; t < n; ++t) {
@@ -90,7 +94,8 @@ TEST(SamplerVsDistribution, CapBoundsGeometricExecutions) {
   // With an absurd rate every attempt fails; the cap must bound durations.
   expmk::graph::Dag g;
   g.add_task(1.0);
-  TrialContext ctx(g, FailureModel{50.0}, RetryModel::Geometric);
+  const auto sc = compile(g, FailureModel{50.0}, RetryModel::Geometric);
+  TrialContext ctx(sc);
   ctx.max_executions = 8;
   std::vector<double> durations(g.task_count());
   double max_seen = 0.0;
@@ -107,7 +112,8 @@ TEST(SamplerVsDistribution, ControlStatisticMatchesDefinition) {
   // implies Z = duration - a, exactly.
   expmk::graph::Dag g;
   g.add_task(0.5);
-  const TrialContext ctx(g, FailureModel{1.0}, RetryModel::Geometric);
+  const auto sc = compile(g, FailureModel{1.0}, RetryModel::Geometric);
+  const TrialContext ctx(sc);
   std::vector<double> durations(g.task_count());
   for (int t = 0; t < 1'000; ++t) {
     expmk::prob::McRng rng(3, static_cast<std::uint64_t>(t));

@@ -36,6 +36,8 @@
 #include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+
 namespace {
 
 using expmk::core::calibrate;
@@ -216,53 +218,6 @@ TEST(ScenarioCompile, TrialContextIsAZeroCopyView) {
   EXPECT_EQ(ctx.retry(), RetryModel::Geometric);
 }
 
-// ---------------------------------------------------- adapter property
-
-/// Bitwise result equality (NaN == NaN for the unsupported case).
-void expect_bit_identical(const EvalResult& a, const EvalResult& b,
-                          const std::string& where) {
-  EXPECT_EQ(a.supported, b.supported) << where;
-  EXPECT_EQ(a.note, b.note) << where;
-  EXPECT_EQ(a.censored_trials, b.censored_trials) << where;
-  if (std::isnan(a.mean) || std::isnan(b.mean)) {
-    EXPECT_TRUE(std::isnan(a.mean) && std::isnan(b.mean)) << where;
-  } else {
-    EXPECT_EQ(a.mean, b.mean) << where;
-  }
-  EXPECT_EQ(a.std_error, b.std_error) << where;
-}
-
-// Every legacy (Dag&, FailureModel, RetryModel) adapter must return
-// BIT-identical results to its Scenario-based overload — the adapters are
-// compile-and-forward, and the Scenario caches reproduce the pre-Scenario
-// arithmetic exactly. All 13 evaluators, both retry models, uniform rates.
-TEST(AdapterProperty, LegacyCallsBitIdenticalToScenarioCalls) {
-  EvalOptions opt;
-  opt.mc_trials = 2'000;
-  opt.seed = 77;
-  opt.threads = 1;
-  opt.capture_distribution = false;
-
-  const auto& reg = EvaluatorRegistry::builtin();
-  ASSERT_EQ(reg.size(), 16u);
-  for (const auto& [label, g] : fixture_dags()) {
-    const FailureModel model = calibrate(g, 0.01);
-    for (const RetryModel retry :
-         {RetryModel::TwoState, RetryModel::Geometric}) {
-      const Scenario sc =
-          Scenario::compile(g, FailureSpec(model), retry);
-      for (const Evaluator& e : reg.evaluators()) {
-        const std::string where =
-            label + " / " + std::string(e.name()) + " / " +
-            (retry == RetryModel::TwoState ? "two_state" : "geometric");
-        const EvalResult legacy = e.evaluate(g, model, retry, opt);
-        const EvalResult scen = e.evaluate(sc, opt);
-        expect_bit_identical(legacy, scen, where);
-      }
-    }
-  }
-}
-
 // ------------------------------------------------- heterogeneous rates
 
 // Constant per-task rates must agree with the uniform spec (different
@@ -278,17 +233,21 @@ TEST(Heterogeneous, ConstantRateVectorMatchesUniform) {
                                          RetryModel::TwoState);
   ASSERT_TRUE(het.heterogeneous());
 
-  const double exact_u = expmk::core::exact_two_state(uni);
-  const double exact_h = expmk::core::exact_two_state(het);
+  const double exact_u = expmk::core::exact_two_state(uni, Workspace::local());
+  const double exact_h = expmk::core::exact_two_state(het, Workspace::local());
   // Same p_success vector => identical enumeration.
   EXPECT_EQ(exact_u, exact_h);
 
-  const double fo_u = expmk::core::first_order(uni).expected_makespan();
-  const double fo_h = expmk::core::first_order(het).expected_makespan();
+  const double fo_u =
+      expmk::core::first_order(uni, Workspace::local()).expected_makespan();
+  const double fo_h =
+      expmk::core::first_order(het, Workspace::local()).expected_makespan();
   EXPECT_NEAR(fo_h, fo_u, 1e-12 * fo_u);
 
-  const double so_u = expmk::core::second_order(uni).expected_makespan;
-  const double so_h = expmk::core::second_order(het).expected_makespan;
+  const double so_u =
+      expmk::core::second_order(uni, Workspace::local()).expected_makespan;
+  const double so_h =
+      expmk::core::second_order(het, Workspace::local()).expected_makespan;
   EXPECT_NEAR(so_h, so_u, 1e-12 * so_u);
 
   // The MC kernel consumes per-task constant arrays either way: with an
@@ -317,7 +276,7 @@ TEST(Heterogeneous, CatalogueValidatedAgainstExactOracle) {
     const Scenario sc = Scenario::compile(
         g, FailureSpec::per_task(spread_rates(g, 0.01)),
         RetryModel::TwoState);
-    const double exact = expmk::core::exact_two_state(sc);
+    const double exact = expmk::core::exact_two_state(sc, Workspace::local());
     ASSERT_GT(exact, 0.0) << label;
 
     for (const Evaluator& e : reg.evaluators()) {
@@ -365,7 +324,8 @@ TEST(Heterogeneous, SpEvaluatorExactOnSpGraphs) {
   const auto r =
       EvaluatorRegistry::builtin().find("sp")->evaluate(sc, {});
   ASSERT_TRUE(r.supported) << r.note;
-  EXPECT_NEAR(r.mean, expmk::core::exact_two_state(sc), 1e-9);
+  EXPECT_NEAR(r.mean, expmk::core::exact_two_state(sc, Workspace::local()),
+              1e-9);
 }
 
 // Heterogeneous rates actually matter: doubling one task's rate moves the
@@ -380,10 +340,12 @@ TEST(Heterogeneous, RatesAreNotCollapsedToTheirMean) {
                                          RetryModel::TwoState);
   const Scenario uni =
       Scenario::compile(g, FailureSpec(model), RetryModel::TwoState);
-  EXPECT_GT(expmk::core::first_order(het).expected_makespan(),
-            expmk::core::first_order(uni).expected_makespan());
-  EXPECT_GT(expmk::core::exact_two_state(het),
-            expmk::core::exact_two_state(uni));
+  EXPECT_GT(expmk::core::first_order(het,
+                                     Workspace::local()).expected_makespan(),
+            expmk::core::first_order(uni,
+                                     Workspace::local()).expected_makespan());
+  EXPECT_GT(expmk::core::exact_two_state(het, Workspace::local()),
+            expmk::core::exact_two_state(uni, Workspace::local()));
 }
 
 // The flat-distribution-engine refactor lifted the last two heterogeneous
@@ -411,7 +373,9 @@ TEST(Heterogeneous, FormerlyGatedMethodsNowSupportPerTaskRates) {
   ASSERT_TRUE(dodin.supported) << dodin.note;
   // The diamond is series-parallel, so untruncated Dodin is exact — also
   // under heterogeneous rates (the per-task plumbing end to end).
-  EXPECT_NEAR(dodin.mean, expmk::core::exact_two_state(het_ts), 1e-12);
+  EXPECT_NEAR(dodin.mean,
+              expmk::core::exact_two_state(het_ts, Workspace::local()),
+              1e-12);
 
   // Retry-model gating is unchanged: dodin is a two-state method.
   const auto gated = reg.find("dodin")->evaluate(het_geo, {});

@@ -12,6 +12,10 @@
 #include "sched/fault_sim.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/priorities.hpp"
+#include "test_helpers.hpp"
+
+using expmk::exp::Workspace;
+using expmk::test::compile;
 
 namespace {
 
@@ -140,8 +144,13 @@ TEST(FaultSim, DegradesGracefullyAndReproducibly) {
   const auto prio = priorities(g, PriorityKind::BottomLevel, m);
   expmk::sched::FaultSimConfig cfg;
   cfg.runs = 200;
-  const auto r1 = expmk::sched::simulate_with_faults(g, prio, machine, m, cfg);
-  const auto r2 = expmk::sched::simulate_with_faults(g, prio, machine, m, cfg);
+  const auto sc = compile(g, m, expmk::core::RetryModel::Geometric);
+  const auto r1 =
+      expmk::sched::simulate_with_faults(sc, prio, machine, cfg,
+                                         Workspace::local());
+  const auto r2 =
+      expmk::sched::simulate_with_faults(sc, prio, machine, cfg,
+                                         Workspace::local());
   EXPECT_DOUBLE_EQ(r1.makespan.mean(), r2.makespan.mean());
   // Faults lengthen execution on average. (Individual runs may in theory
   // benefit from Graham-style list-scheduling anomalies, so we only bound
@@ -156,9 +165,11 @@ TEST(FaultSim, ZeroLambdaMatchesFailureFree) {
   const auto prio = priorities(g, PriorityKind::BottomLevel, {});
   expmk::sched::FaultSimConfig cfg;
   cfg.runs = 10;
+  const auto sc =
+      compile(g, FailureModel{0.0}, expmk::core::RetryModel::Geometric);
   const auto r =
-      expmk::sched::simulate_with_faults(g, prio, machine, FailureModel{0.0},
-                                         cfg);
+      expmk::sched::simulate_with_faults(sc, prio, machine, cfg,
+                                         Workspace::local());
   EXPECT_DOUBLE_EQ(r.makespan.min(), r.failure_free_makespan);
   EXPECT_DOUBLE_EQ(r.makespan.max(), r.failure_free_makespan);
 }

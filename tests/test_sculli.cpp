@@ -13,6 +13,9 @@
 #include "normal/sculli.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::exact_two_state;
@@ -51,8 +54,10 @@ TEST(Sculli, ChainIsExact) {
   // A chain has no max: Sculli's sum of moments is the exact expectation.
   const auto g = expmk::gen::uniform_chain(6, 0.4);
   const FailureModel m{0.15};
-  const auto r = sculli(g, m);
-  EXPECT_NEAR(r.expected_makespan(), exact_two_state(g, m), 1e-12);
+  const auto sc = compile(g, m);
+  const auto r = sculli(sc, Workspace::local());
+  EXPECT_NEAR(r.expected_makespan(), exact_two_state(sc, Workspace::local()),
+              1e-12);
   // Variance is the sum of task variances.
   const double p = m.p_success(0.4);
   EXPECT_NEAR(r.makespan.var, 6.0 * 0.4 * 0.4 * p * (1.0 - p), 1e-12);
@@ -60,7 +65,7 @@ TEST(Sculli, ChainIsExact) {
 
 TEST(Sculli, ZeroLambdaIsCriticalPath) {
   const auto g = expmk::gen::cholesky_dag(4);
-  const auto r = sculli(g, FailureModel{0.0});
+  const auto r = sculli(compile(g, FailureModel{0.0}), Workspace::local());
   EXPECT_NEAR(r.expected_makespan(), expmk::graph::critical_path_length(g),
               1e-9);
   EXPECT_NEAR(r.makespan.var, 0.0, 1e-12);
@@ -74,7 +79,7 @@ TEST(Sculli, TwoIndependentTasksMatchClarkDirectly) {
   const auto x = duration_moments(1.0, m);
   const auto y = duration_moments(0.9, m);
   const auto fold = expmk::prob::clark_max(x, y, 0.0);
-  const auto r = sculli(g, m);
+  const auto r = sculli(compile(g, m), Workspace::local());
   EXPECT_NEAR(r.expected_makespan(), fold.moments.mean, 1e-12);
   EXPECT_NEAR(r.makespan.var, fold.moments.var, 1e-12);
 }
@@ -84,7 +89,7 @@ TEST(Sculli, EstimateAboveCriticalPath) {
   // d(G): Sculli should never fall below the failure-free makespan.
   const auto g = expmk::gen::erdos_dag(30, 0.15, 3);
   const FailureModel m{0.05};
-  EXPECT_GE(sculli(g, m).expected_makespan(),
+  EXPECT_GE(sculli(compile(g, m), Workspace::local()).expected_makespan(),
             expmk::graph::critical_path_length(g) - 1e-9);
 }
 
@@ -93,20 +98,24 @@ TEST(Sculli, ReasonablyCloseToExactOnSmallGraphs) {
   // should land within a few percent of exact.
   const auto g = expmk::gen::erdos_dag(12, 0.3, 17);
   const FailureModel m{0.05};
-  const double exact = exact_two_state(g, m);
-  EXPECT_NEAR(sculli(g, m).expected_makespan(), exact, 0.05 * exact);
+  const auto sc = compile(g, m);
+  const double exact = exact_two_state(sc, Workspace::local());
+  EXPECT_NEAR(sculli(sc, Workspace::local()).expected_makespan(), exact,
+              0.05 * exact);
 }
 
 TEST(Sculli, GeometricModeShiftsUpward) {
   const auto g = expmk::gen::cholesky_dag(4);
   const FailureModel m{0.5};
-  EXPECT_GT(sculli(g, m, RetryModel::Geometric).expected_makespan(),
-            sculli(g, m, RetryModel::TwoState).expected_makespan());
+  const auto geo = compile(g, m, RetryModel::Geometric);
+  const auto two_state = compile(g, m, RetryModel::TwoState);
+  EXPECT_GT(sculli(geo, Workspace::local()).expected_makespan(),
+            sculli(two_state, Workspace::local()).expected_makespan());
 }
 
 TEST(Sculli, EmptyGraphThrows) {
-  EXPECT_THROW((void)sculli(expmk::graph::Dag{}, FailureModel{0.1}),
-               std::invalid_argument);
+  const auto sc = compile(expmk::graph::Dag{}, FailureModel{0.1});
+  EXPECT_THROW((void)sculli(sc, Workspace::local()), std::invalid_argument);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -486,6 +487,56 @@ TEST(ServeServerTest, SocketRoundTripAndShutdown) {
   const json::Value ok = json::parse(read_one_frame(fd, decoder));
   EXPECT_EQ(field_string(ok, "type"), "ok");
   server.wait_shutdown();
+  ::close(fd);
+  server.stop();
+}
+
+/// Port of a socket's local (peer == false) or remote end; -1 when `fd`
+/// is not an IPv4 socket.
+int socket_port(int fd, bool peer) {
+  sockaddr_in addr{};
+  socklen_t len = sizeof addr;
+  const int rc =
+      peer ? ::getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len)
+           : ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  if (rc != 0 || addr.sin_family != AF_INET) return -1;
+  return ntohs(addr.sin_port);
+}
+
+// Answers are small frames written as soon as they are ready. With Nagle's
+// algorithm on, an answer written while the previous one is still
+// unacknowledged waits for the client's (delayed) ACK — milliseconds per
+// request for a client that does not force quick ACKs. The server runs in
+// this process, so the test finds the accepted socket among its own
+// descriptors and reads the option directly.
+TEST(ServeServerTest, AcceptedSocketsDisableNagle) {
+  expmk::serve::ServerConfig config;
+  config.port = 0;
+  expmk::serve::TcpServer server(config);
+  server.start();
+  const int fd = dial_loopback(server.port());
+  ASSERT_GE(fd, 0);
+  // One round trip: the server has accepted (and configured) the
+  // connection before it can answer on it.
+  ASSERT_TRUE(send_all(
+      fd, expmk::util::encode_frame(R"({"v":1,"type":"stats"})")));
+  expmk::util::FrameDecoder decoder;
+  ASSERT_FALSE(read_one_frame(fd, decoder).empty());
+
+  const int client_port = socket_port(fd, false);
+  int accepted = -1;
+  for (int cand = 0; cand < 4096 && accepted < 0; ++cand) {
+    if (cand != fd && socket_port(cand, false) == server.port() &&
+        socket_port(cand, true) == client_port) {
+      accepted = cand;
+    }
+  }
+  ASSERT_GE(accepted, 0) << "server-side socket not found";
+  int nodelay = 0;
+  socklen_t len = sizeof nodelay;
+  ASSERT_EQ(::getsockopt(accepted, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+            0);
+  EXPECT_NE(nodelay, 0);
   ::close(fd);
   server.stop();
 }

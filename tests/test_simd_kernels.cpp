@@ -27,6 +27,9 @@
 #include "prob/dist_kernels.hpp"
 #include "prob/rng.hpp"
 #include "util/simd.hpp"
+#include "test_helpers.hpp"
+
+using expmk::test::compile;
 
 namespace {
 
@@ -253,11 +256,12 @@ TEST(SimdKernels, McEngineBitIdenticalAcrossThreadCountsWithPhilox) {
   cfg.trials = 3000;
   cfg.seed = 0xC0FFEE;
   cfg.threads = 1;
-  const auto r1 = expmk::mc::run_monte_carlo(g, model, cfg);
+  const auto sc = compile(g, model, expmk::core::RetryModel::Geometric);
+  const auto r1 = expmk::mc::run_monte_carlo(sc, cfg);
   cfg.threads = 2;
-  const auto r2 = expmk::mc::run_monte_carlo(g, model, cfg);
+  const auto r2 = expmk::mc::run_monte_carlo(sc, cfg);
   cfg.threads = 7;
-  const auto r7 = expmk::mc::run_monte_carlo(g, model, cfg);
+  const auto r7 = expmk::mc::run_monte_carlo(sc, cfg);
   EXPECT_EQ(r1.mean, r2.mean);
   EXPECT_EQ(r2.mean, r7.mean);
   EXPECT_EQ(r1.variance, r2.variance);

@@ -15,6 +15,9 @@
 #include "spgraph/sp_reduce.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::FailureModel;
@@ -83,7 +86,8 @@ TEST(SpReduce, ChainConvolves) {
       evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, 0.3)));
   EXPECT_TRUE(eval.is_series_parallel);
   EXPECT_NEAR(eval.makespan.mean(),
-              expmk::core::exact_two_state(g, FailureModel{0.3}), 1e-12);
+              expmk::core::exact_two_state(compile(g, FailureModel{0.3}),
+                                           Workspace::local()), 1e-12);
   // Chain of 4 two-state tasks: support has 5 distinct sums.
   EXPECT_EQ(eval.makespan.size(), 5u);
 }
@@ -94,7 +98,8 @@ TEST(SpReduce, DiamondIsSeriesParallel) {
   const auto eval =
       evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, m.lambda)));
   EXPECT_TRUE(eval.is_series_parallel);
-  EXPECT_NEAR(eval.makespan.mean(), expmk::core::exact_two_state(g, m),
+  EXPECT_NEAR(eval.makespan.mean(),
+              expmk::core::exact_two_state(compile(g, m), Workspace::local()),
               1e-12);
 }
 
@@ -132,7 +137,8 @@ TEST_P(SpRandomSweep, RecognizedAndExact) {
   const auto eval =
       evaluate_sp(ArcNetwork::from_dag(g, two_state_dists(g, m.lambda)));
   ASSERT_TRUE(eval.is_series_parallel) << "seed " << seed;
-  EXPECT_NEAR(eval.makespan.mean(), expmk::core::exact_two_state(g, m),
+  EXPECT_NEAR(eval.makespan.mean(),
+              expmk::core::exact_two_state(compile(g, m), Workspace::local()),
               1e-10)
       << "seed " << seed;
 }

@@ -24,6 +24,9 @@
 #include "graph/longest_path.hpp"
 #include "test_helpers.hpp"
 
+using expmk::exp::Workspace;
+using expmk::test::compile;
+
 namespace {
 
 using expmk::core::calibrate;
@@ -65,21 +68,22 @@ TEST(Registry, CapabilityGatingReportsUnsupported) {
 
   // Enumeration limit: 30 tasks > kMaxExactTasks.
   const auto big = expmk::gen::erdos_dag(30, 0.2, 1);
-  const auto r1 = reg.find("exact")->evaluate(big, m, RetryModel::TwoState);
+  const auto big_sc = compile(big, m, RetryModel::TwoState);
+  const auto r1 = reg.find("exact")->evaluate(big_sc);
   EXPECT_FALSE(r1.supported);
   EXPECT_TRUE(std::isnan(r1.mean));
   EXPECT_FALSE(r1.note.empty());
 
   // Retry model: Dodin is two-state only.
   const auto g = expmk::test::diamond();
-  const auto r2 = reg.find("dodin")->evaluate(g, m, RetryModel::Geometric);
+  const auto geometric = compile(g, m, RetryModel::Geometric);
+  const auto r2 = reg.find("dodin")->evaluate(geometric);
   EXPECT_FALSE(r2.supported);
 
   // Method-specific failure: the SP evaluator on a non-SP graph must
   // report unsupported (with a note), not crash the sweep.
-  const auto r3 =
-      reg.find("sp")->evaluate(expmk::test::n_graph(), m,
-                               RetryModel::TwoState);
+  const auto non_sp = compile(expmk::test::n_graph(), m, RetryModel::TwoState);
+  const auto r3 = reg.find("sp")->evaluate(non_sp);
   EXPECT_FALSE(r3.supported);
   EXPECT_NE(r3.note.find("series-parallel"), std::string::npos);
 }
@@ -87,10 +91,10 @@ TEST(Registry, CapabilityGatingReportsUnsupported) {
 TEST(Registry, SpEvaluatorIsExactOnSpGraphs) {
   const auto g = expmk::gen::random_series_parallel(6, 11);
   const FailureModel m = calibrate(g, 0.01);
-  const auto r = EvaluatorRegistry::builtin().find("sp")->evaluate(
-      g, m, RetryModel::TwoState);
+  const auto sc = compile(g, m, RetryModel::TwoState);
+  const auto r = EvaluatorRegistry::builtin().find("sp")->evaluate(sc);
   ASSERT_TRUE(r.supported);
-  EXPECT_NEAR(r.mean, exact_two_state(g, m), 1e-9);
+  EXPECT_NEAR(r.mean, exact_two_state(sc, Workspace::local()), 1e-9);
 }
 
 // The cross-method consistency contract: on every small generator DAG,
@@ -116,13 +120,14 @@ TEST(Consistency, EveryEvaluatorWithinDocumentedToleranceOfExact) {
   for (const auto& [label, g] : dags) {
     ASSERT_LE(g.task_count(), expmk::core::kMaxExactTasks) << label;
     const FailureModel model = calibrate(g, 0.01);
-    const double exact = exact_two_state(g, model);
+    const auto sc = compile(g, model, RetryModel::TwoState);
+    const double exact = exact_two_state(sc, Workspace::local());
 
     for (const Evaluator& e : reg.evaluators()) {
       const auto& caps = e.capabilities();
       if (!caps.two_state) continue;
       if (g.task_count() > caps.max_tasks) continue;
-      const auto r = e.evaluate(g, model, RetryModel::TwoState, opt);
+      const auto r = e.evaluate(sc, opt);
       const std::string where = label + " / " + std::string(e.name());
       if (!r.supported) {
         // The only legal in-capability bailouts are the SP evaluators on
@@ -160,11 +165,12 @@ TEST(Consistency, ZeroPfailYieldsFailureFreeMakespanAcrossEvaluators) {
 
   EvalOptions opt;
   opt.mc_trials = 500;
+  const auto sc = compile(g, model, RetryModel::TwoState);
   for (const char* name :
        {"exact", "fo", "so", "dodin", "sp", "bounds.lower", "mc", "cmc"}) {
     const auto* e = EvaluatorRegistry::builtin().find(name);
     ASSERT_NE(e, nullptr) << name;
-    const auto r = e->evaluate(g, model, RetryModel::TwoState, opt);
+    const auto r = e->evaluate(sc, opt);
     if (!r.supported) continue;  // sp: cholesky is not series-parallel
     EXPECT_NEAR(r.mean, d, 1e-12) << name;
     EXPECT_DOUBLE_EQ(r.std_error, 0.0) << name;
@@ -172,7 +178,7 @@ TEST(Consistency, ZeroPfailYieldsFailureFreeMakespanAcrossEvaluators) {
   // The level-decomposition bound stays a (possibly loose) upper bound
   // even deterministically — it must still sit at or above d(G).
   const auto upper = EvaluatorRegistry::builtin().find("bounds.upper")->
-      evaluate(g, model, RetryModel::TwoState, opt);
+      evaluate(sc, opt);
   ASSERT_TRUE(upper.supported);
   EXPECT_GE(upper.mean, d - 1e-12);
 }
@@ -229,7 +235,7 @@ TEST(Sweep, RelativeErrorsAgainstDesignatedReference) {
 
   const auto g = expmk::gen::cholesky_dag(3);
   const FailureModel model = calibrate(g, 0.01);
-  const double exact = exact_two_state(g, model);
+  const double exact = exact_two_state(compile(g, model), Workspace::local());
   EXPECT_NEAR(ref.result.mean, exact, 1e-12);
   for (std::size_t i = 1; i < result.cells.size(); ++i) {
     const auto& cell = result.cells[i];

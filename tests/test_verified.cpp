@@ -7,7 +7,11 @@
 #include "core/verified.hpp"
 #include "gen/cholesky.hpp"
 #include "gen/random_dags.hpp"
+#include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
+
+using expmk::exp::Workspace;
+using expmk::test::compile;
 
 namespace {
 
@@ -15,12 +19,15 @@ using expmk::core::FailureModel;
 using expmk::core::first_order;
 using expmk::core::first_order_verified;
 using expmk::core::VerificationCosts;
+using expmk::scenario::FailureSpec;
+using expmk::scenario::Scenario;
 
 TEST(Verified, ZeroCostMatchesPlainFirstOrder) {
   const auto g = expmk::gen::cholesky_dag(5);
   const FailureModel m{0.02};
-  const auto plain = first_order(g, m);
-  const auto verified = first_order_verified(g, m, {});
+  const auto sc = compile(g, m);
+  const auto plain = first_order(sc, Workspace::local());
+  const auto verified = first_order_verified(sc, {});
   EXPECT_DOUBLE_EQ(verified.expected_makespan(), plain.expected_makespan());
   EXPECT_DOUBLE_EQ(verified.critical_path, plain.critical_path);
 }
@@ -30,8 +37,9 @@ TEST(Verified, RelativeCostStretchesCriticalPath) {
   const FailureModel m{0.01};
   VerificationCosts costs;
   costs.relative_cost = 0.10;  // v_i = 10% of a_i
-  const auto r = first_order_verified(g, m, costs);
-  const auto plain = first_order(g, m);
+  const auto sc = compile(g, m);
+  const auto r = first_order_verified(sc, costs);
+  const auto plain = first_order(sc, Workspace::local());
   EXPECT_NEAR(r.critical_path, 1.10 * plain.critical_path, 1e-9);
   EXPECT_GT(r.expected_makespan(), plain.expected_makespan());
 }
@@ -45,7 +53,7 @@ TEST(Verified, SingleTaskClosedForm) {
   const double lambda = 0.01, v = 0.5;
   VerificationCosts costs;
   costs.per_task = {v};
-  const auto r = first_order_verified(g, FailureModel{lambda}, costs);
+  const auto r = first_order_verified(compile(g, FailureModel{lambda}), costs);
   EXPECT_NEAR(r.expected_makespan(), 2.5 + lambda * 2.0 * 2.5, 1e-12);
 }
 
@@ -53,16 +61,14 @@ TEST(Verified, PerTaskCostsValidated) {
   const auto g = expmk::test::diamond();
   VerificationCosts bad_size;
   bad_size.per_task = {0.1};
-  EXPECT_THROW((void)first_order_verified(g, FailureModel{0.01}, bad_size),
-               std::invalid_argument);
+  const auto sc = compile(g, FailureModel{0.01});
+  EXPECT_THROW((void)first_order_verified(sc, bad_size), std::invalid_argument);
   VerificationCosts negative;
   negative.per_task = {0.1, -0.1, 0.1, 0.1};
-  EXPECT_THROW((void)first_order_verified(g, FailureModel{0.01}, negative),
-               std::invalid_argument);
+  EXPECT_THROW((void)first_order_verified(sc, negative), std::invalid_argument);
   VerificationCosts neg_rel;
   neg_rel.relative_cost = -0.5;
-  EXPECT_THROW((void)first_order_verified(g, FailureModel{0.01}, neg_rel),
-               std::invalid_argument);
+  EXPECT_THROW((void)first_order_verified(sc, neg_rel), std::invalid_argument);
 }
 
 TEST(Verified, EquivalentToPlainOnInflatedWeightsWhenUniform) {
@@ -74,13 +80,15 @@ TEST(Verified, EquivalentToPlainOnInflatedWeightsWhenUniform) {
   const double c = 0.25, lambda = 0.02;
   VerificationCosts costs;
   costs.relative_cost = c;
-  const auto verified = first_order_verified(g, FailureModel{lambda}, costs);
+  const auto verified =
+      first_order_verified(compile(g, FailureModel{lambda}), costs);
 
   expmk::graph::Dag inflated = g;
   for (expmk::graph::TaskId i = 0; i < g.task_count(); ++i) {
     inflated.set_weight(i, (1.0 + c) * g.weight(i));
   }
-  const auto plain = first_order(inflated, FailureModel{lambda});
+  const auto plain =
+      first_order(compile(inflated, FailureModel{lambda}), Workspace::local());
   EXPECT_NEAR(verified.critical_path, plain.critical_path, 1e-12);
   EXPECT_NEAR(verified.correction, plain.correction / (1.0 + c), 1e-9);
 }
@@ -96,8 +104,53 @@ TEST(Verified, CostOnCriticalTaskMattersMore) {
   on_critical.per_task = {0.3, 0.0};
   VerificationCosts on_slack;
   on_slack.per_task = {0.0, 0.3};
-  EXPECT_GT(first_order_verified(g, m, on_critical).expected_makespan(),
-            first_order_verified(g, m, on_slack).expected_makespan());
+  const auto sc = compile(g, m);
+  EXPECT_GT(first_order_verified(sc, on_critical).expected_makespan(),
+            first_order_verified(sc, on_slack).expected_makespan());
+}
+
+// The heterogeneous branch: a per-task rate vector holding one constant
+// rate is the uniform model by another code path (lambda folded per task
+// instead of once), so the two must agree to rounding.
+TEST(Verified, ConstantPerTaskRatesMatchUniform) {
+  for (const auto& g :
+       {expmk::gen::cholesky_dag(4), expmk::gen::erdos_dag(20, 0.2, 11)}) {
+    const double lambda = 0.02;
+    const Scenario uniform = compile(g, FailureModel{lambda});
+    const Scenario per_task = Scenario::compile(
+        g, FailureSpec::per_task(std::vector<double>(g.task_count(), lambda)));
+    ASSERT_TRUE(per_task.heterogeneous());
+    VerificationCosts relative;
+    relative.relative_cost = 0.2;
+    VerificationCosts scattered;
+    for (expmk::graph::TaskId i = 0; i < g.task_count(); ++i) {
+      scattered.per_task.push_back(0.05 * static_cast<double>(i % 4));
+    }
+    for (const VerificationCosts& costs :
+         {VerificationCosts{}, relative, scattered}) {
+      const auto u = first_order_verified(uniform, costs);
+      const auto h = first_order_verified(per_task, costs);
+      EXPECT_EQ(h.critical_path, u.critical_path);
+      EXPECT_NEAR(h.expected_makespan(), u.expected_makespan(),
+                  1e-12 * u.expected_makespan());
+    }
+  }
+}
+
+// Distinct per-task rates: on a two-task chain every task is critical, so
+// the correction is sum_i lambda_i a_i (a_i + v_i) term by term.
+TEST(Verified, PerTaskRatesWeightEachTasksFailureMass) {
+  expmk::graph::Dag g;
+  const auto a = g.add_task(2.0);
+  const auto b = g.add_task(1.0);
+  g.add_edge(a, b);
+  const Scenario sc =
+      Scenario::compile(g, FailureSpec::per_task({0.01, 0.04}));
+  VerificationCosts costs;
+  costs.per_task = {0.5, 0.25};
+  const auto r = first_order_verified(sc, costs);
+  EXPECT_NEAR(r.critical_path, 3.75, 1e-15);
+  EXPECT_NEAR(r.correction, 0.01 * 2.0 * 2.5 + 0.04 * 1.0 * 1.25, 1e-15);
 }
 
 }  // namespace

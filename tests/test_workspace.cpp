@@ -37,10 +37,15 @@
 #include "exp/sweep.hpp"
 #include "exp/workspace.hpp"
 #include "gen/random_dags.hpp"
+#include "graph/longest_path.hpp"
+#include "graph/metrics.hpp"
+#include "graph/topological.hpp"
 #include "mc/trial.hpp"
+#include "prob/discrete_distribution.hpp"
 #include "prob/rng.hpp"
 #include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
+
 
 // ---------------------------------------------------------------------
 // Counting global operator new. Replacing the global allocation functions
@@ -381,16 +386,44 @@ TEST(WorkspaceAdapterProperty, HeterogeneousWarmBitIdenticalToDefault) {
   }
 }
 
+/// The bounds computed with heap-backed DiscreteDistribution objects: the
+/// Jensen and failure-free longest paths on freshly allocated vectors and
+/// one object max_of fold per precedence level — the reference the flat
+/// workspace kernel must reproduce.
+expmk::core::MakespanBounds bounds_via_objects(const Dag& g,
+                                               const FailureModel& model) {
+  using expmk::prob::DiscreteDistribution;
+  const auto topo = expmk::graph::topological_order(g);
+  const auto p = expmk::core::success_probabilities(g, model);
+  expmk::core::MakespanBounds out;
+  out.failure_free = expmk::graph::critical_path_length(g, g.weights(), topo);
+  std::vector<double> expected(g.task_count());
+  for (TaskId i = 0; i < g.task_count(); ++i) {
+    expected[i] = g.weight(i) * (2.0 - p[i]);
+  }
+  out.jensen_lower = expmk::graph::critical_path_length(g, expected, topo);
+  for (const auto& level : expmk::graph::level_partition(g)) {
+    DiscreteDistribution level_max = DiscreteDistribution::point(0.0);
+    for (const TaskId i : level) {
+      if (g.weight(i) <= 0.0) continue;
+      level_max = DiscreteDistribution::max_of(
+          level_max, DiscreteDistribution::two_state(g.weight(i), p[i]));
+    }
+    out.level_upper += level_max.mean();
+  }
+  return out;
+}
+
 // The flat atom fold in the bounds workspace kernel claims to mirror the
-// DiscreteDistribution object fold bit for bit; the Dag-path entry point
-// still RUNS the object fold, so comparing the two pins the claim (and
-// any future drift in prob::kValueMergeEps / consolidate /
-// renormalization arithmetic) exactly.
+// DiscreteDistribution object fold bit for bit; comparing it with the
+// object fold above pins the claim (and any future drift in
+// prob::kValueMergeEps / consolidate / renormalization arithmetic)
+// exactly.
 TEST(WorkspaceAdapterProperty, BoundsFlatFoldBitIdenticalToObjectFold) {
   for (const auto& [label, g] : property_dags()) {
     for (const double pfail : {0.0, 0.001, 0.05, 0.4}) {
       const FailureModel model = calibrate(g, pfail);
-      const auto via_objects = expmk::core::makespan_bounds(g, model);
+      const auto via_objects = bounds_via_objects(g, model);
       const Scenario sc =
           Scenario::compile(g, FailureSpec(model), RetryModel::TwoState);
       Workspace ws;
